@@ -308,6 +308,61 @@ let mem_tests_for (n, size_name) =
 
 let mem_tests = List.concat_map mem_tests_for mem_sizes
 
+(* The word kernels under the bulk paths: polymorphic [Array.blit]/
+   [Array.fill] (write barrier per word on a major-heap array) against
+   [Gh_sim.Words] on a 64K-word array, past the minor-heap size limit
+   like every page buffer. The fill value changes each run so
+   [Array.fill] cannot skip unchanged words. *)
+let kernel_words = 65_536
+
+let kernel_tests =
+  let src = Array.init kernel_words (fun i -> i) in
+  let dst = Array.make kernel_words 0 in
+  let v = ref 0 in
+  let name op impl = Printf.sprintf "kernel/%s-64K/%s" op impl in
+  [
+    Test.make ~name:(name "blit" "array")
+      (Staged.stage (fun () -> Array.blit src 0 dst 0 kernel_words));
+    Test.make ~name:(name "blit" "words")
+      (Staged.stage (fun () -> Gh_sim.Words.blit src 0 dst 0 kernel_words));
+    Test.make ~name:(name "fill" "array")
+      (Staged.stage (fun () ->
+           incr v;
+           Array.fill dst 0 kernel_words !v));
+    Test.make ~name:(name "fill" "words")
+      (Staged.stage (fun () ->
+           incr v;
+           Gh_sim.Words.fill dst 0 kernel_words !v));
+  ]
+
+(* Full 63-page block hashes: all zero (the whole block is a table
+   lookup after the zero scan), zero in its first half (the scan skips
+   the prefix, the rest is mixed) and dense (every word mixed). A run
+   hashes [hash_run_blocks] consecutive blocks, as the audit does, so
+   the harness's per-run overhead does not swamp a ~100 ns hash. *)
+let hash_run_blocks = 64
+
+let hash_blocks =
+  let bp = Snapshot.block_pages in
+  let blocks word = Array.init (hash_run_blocks * bp) (fun i -> word (i mod bp)) in
+  [
+    ("zero", blocks (fun _ -> 0));
+    ("half-zero", blocks (fun j -> if j < bp / 2 then 0 else j));
+    ("dense", blocks (fun j -> j + 1));
+  ]
+
+let hash_tests =
+  List.map
+    (fun (kind, data) ->
+      Test.make ~name:("hash/block-" ^ kind)
+        (Staged.stage (fun () ->
+             for b = 0 to hash_run_blocks - 1 do
+               ignore
+                 (Snapshot.hash_words data ~pos:(b * Snapshot.block_pages)
+                    ~len:Snapshot.block_pages)
+             done)))
+    hash_blocks
+
 (* Run one bechamel test and return its (name, ns-per-run) estimates. *)
 let estimates test =
   let instances = Instance.[ monotonic_clock ] in
@@ -329,15 +384,19 @@ let time_str t =
   else if t > 1e3 then Printf.sprintf "%.3f us" (t /. 1e3)
   else Printf.sprintf "%.1f ns" t
 
+(* Estimate each test, print its rows, and return them for the JSON. *)
+let run_and_print tests =
+  List.concat_map
+    (fun test ->
+      let es = estimates test in
+      List.iter (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t)) es;
+      es)
+    tests
+
 let run_bechamel_list title tests =
   print_endline title;
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t))
-        (estimates test))
-    tests;
+  ignore (run_and_print tests);
   print_newline ()
 
 let run_bechamel () =
@@ -352,16 +411,9 @@ let run_bitmap_bench () =
 let fig3_pre_pr_us = 120.625
 
 let run_mem_bench () =
-  print_endline "== Memory fast paths: bulk kernels vs scalar reference ==";
+  print_endline "== Memory fast paths: bulk kernels, word kernels, block hash ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
-  let results =
-    List.concat_map
-      (fun test ->
-        let es = estimates test in
-        List.iter (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t)) es;
-        es)
-      mem_tests
-  in
+  let results = run_and_print (mem_tests @ kernel_tests @ hash_tests) in
   let find name = List.assoc_opt name results in
   let fig3 =
     match estimates test_fig3 with (_, t) :: _ -> Some t | [] -> None
@@ -392,6 +444,35 @@ let run_mem_bench () =
         (if si = n_sizes - 1 then "\n    }\n" else "\n    },\n"))
     mem_sizes;
   Buffer.add_string buf "  }";
+  Buffer.add_string buf
+    (Printf.sprintf ",\n  \"kernels\": {\n    \"words\": %d" kernel_words);
+  List.iter
+    (fun op ->
+      match
+        ( find (Printf.sprintf "kernel/%s-64K/array" op),
+          find (Printf.sprintf "kernel/%s-64K/words" op) )
+      with
+      | Some a, Some w ->
+          Buffer.add_string buf
+            (Printf.sprintf
+               ",\n    \"%s_array_ns\": %.1f,\n    \"%s_words_ns\": %.1f,\n    \"%s_speedup\": %.2f"
+               op a op w op (a /. w));
+          Printf.printf "kernel/%s-64K: %.2fx (Array %s -> Words %s)\n" op (a /. w)
+            (time_str a) (time_str w)
+      | _ -> ())
+    [ "blit"; "fill" ];
+  Buffer.add_string buf "\n  },\n  \"hash_block_ns\": {";
+  List.iteri
+    (fun i (kind, _) ->
+      match find ("hash/block-" ^ kind) with
+      | Some t ->
+          let per_block = t /. float_of_int hash_run_blocks in
+          Buffer.add_string buf
+            (Printf.sprintf "%s\n    \"%s\": %.1f" (if i = 0 then "" else ",") kind per_block);
+          Printf.printf "hash/block-%s: %s per block\n" kind (time_str per_block)
+      | None -> ())
+    hash_blocks;
+  Buffer.add_string buf "\n  }";
   (match fig3 with
   | Some t ->
       Buffer.add_string buf
@@ -495,49 +576,11 @@ let test_admit_batch =
          let e = Engine.create () in
          Engine.at_batch e admit_list))
 
-(* Wall-clock of `gh_bench run all --seed 42` (default profile) on this
-   machine, measured immediately before and after the engine moved to the
-   calendar queue — same discipline as [fig3_pre_pr_us]. The sweep is
-   dominated by per-request memory-model work (a ~45 us GH invoke dwarfs a
-   ~0.2 us event dispatch), so the queue swap holds the sweep at parity
-   while the queue-level rows above carry the speedup; the trajectory
-   toward ROADMAP item 2 is recorded here so the next optimization knows
-   its starting point. *)
-let runall_wall_s_pre_pr = 40.7
-let runall_wall_s_post_pr = 39.5
-let runall_md5 = "09fde233dc7f8a93b99557ab479b780f"
-
-(* Domain-parallel sweep runner + buffer pooling (the `-j` flag), measured
-   on the CI container — which exposes a single CPU, so the -j2/-j4 rows
-   show domain overhead under time-slicing, not scaling; the md5 equality
-   across all job counts is the result that transfers (on a >= 4-core
-   host the same sharding is where the wall-clock win lands). What does
-   land here: recycling fork-clone/resize page arrays through
-   Buffer_pool cut the serial sweep 64.3 s -> 53.7 s and major-heap
-   allocation 10.3x (GH_BUFFER_POOL=off vs on, `--gc-stats`). *)
-let runall_wall_s_j1 = 53.7
-let runall_wall_s_j2 = 69.4
-let runall_wall_s_j4 = 64.5
-let runall_wall_s_j1_prepool = 64.3
-let runall_gc_minor_words_prepool = 1.816e9
-let runall_gc_major_words_prepool = 3.498e9
-let runall_gc_minor_words = 1.780e9
-let runall_gc_major_words = 0.339e9
-let runall_host_cores = 1
-
 let run_engine_bench () =
   print_endline "== Engine hot loop: calendar queue vs reference binary heap ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
-  let run tests =
-    List.concat_map
-      (fun test ->
-        let es = estimates test in
-        List.iter (fun (name, t) -> Printf.printf "%-32s %14s\n" name (time_str t)) es;
-        es)
-      tests
-  in
-  let churn = run (List.concat_map engine_churn_tests churn_sizes) in
-  let rest = run [ test_engine_storm; test_admit_loop; test_admit_batch ] in
+  let churn = run_and_print (List.concat_map engine_churn_tests churn_sizes) in
+  let rest = run_and_print [ test_engine_storm; test_admit_loop; test_admit_batch ] in
   let find results name = List.assoc_opt name results in
   print_newline ();
   let buf = Buffer.create 1024 in
@@ -580,18 +623,7 @@ let run_engine_bench () =
       Printf.printf "engine/admit-10k: %.2fx (at-loop %s -> at-batch %s)\n" (l /. b)
         (time_str l) (time_str b)
   | _ -> ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"runall_seed42_wall_s_pre_pr\": %.1f,\n  \"runall_seed42_wall_s\": %.1f,\n  \"runall_seed42_md5\": \"%s\""
-       runall_wall_s_pre_pr runall_wall_s_post_pr runall_md5);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\n  \"runall_seed42_wall_s_j1_prepool\": %.1f,\n  \"runall_seed42_wall_s_j1\": %.1f,\n  \"runall_seed42_wall_s_j2\": %.1f,\n  \"runall_seed42_wall_s_j4\": %.1f,\n  \"runall_seed42_speedup_j4\": %.2f,\n  \"runall_seed42_pool_speedup_j1\": %.2f,\n  \"runall_gc_minor_words_prepool\": %.3e,\n  \"runall_gc_major_words_prepool\": %.3e,\n  \"runall_gc_minor_words\": %.3e,\n  \"runall_gc_major_words\": %.3e,\n  \"runall_host_cores\": %d\n}\n"
-       runall_wall_s_j1_prepool runall_wall_s_j1 runall_wall_s_j2 runall_wall_s_j4
-       (runall_wall_s_j1 /. runall_wall_s_j4)
-       (runall_wall_s_j1_prepool /. runall_wall_s_j1)
-       runall_gc_minor_words_prepool runall_gc_major_words_prepool
-       runall_gc_minor_words runall_gc_major_words runall_host_cores);
+  Buffer.add_string buf "\n}\n";
   let oc = open_out "BENCH_engine.json" in
   Buffer.output_buffer oc buf;
   close_out oc;

@@ -8,6 +8,22 @@ dune build
 dune build bench/main.exe
 dune runtest
 
+# Page-data moves go through the barrier-free Gh_sim.Words kernels: the
+# polymorphic Array.blit/Array.fill pay the write barrier on every word of
+# a major-heap array. Fail if one reappears in the page-data modules. The
+# only allowed hits are Address_space's blits of its Vma.t array (t.arr),
+# which holds pointers and needs the barrier.
+if grep -n 'Array\.\(blit\|fill\)' lib/mem/vma.ml lib/mem/bitmap.ml \
+     lib/core/snapshot.ml lib/sim/buffer_pool.ml; then
+  echo "ci/check.sh: use Gh_sim.Words.blit/fill for page data" >&2
+  exit 1
+fi
+if grep -n 'Array\.\(blit\|fill\)' lib/mem/address_space.ml \
+     | grep -v 'Array\.blit t\.arr '; then
+  echo "ci/check.sh: use Gh_sim.Words.blit/fill for page data" >&2
+  exit 1
+fi
+
 # Fault suite under three fixed seeds: the plan schedules and the whole
 # recovery pipeline must replay bit-identically from each.
 for seed in 1 42 1337; do

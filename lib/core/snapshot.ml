@@ -35,20 +35,61 @@ let hash_mix h x =
   let h = h * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-let hash_words data ~pos ~len =
-  let h = ref (hash_mix 0x27D4EB2F165667C5 len) in
-  for i = pos to pos + len - 1 do
+let hash_init len = hash_mix 0x27D4EB2F165667C5 len
+
+let hash_from h data ~pos ~stop =
+  let h = ref h in
+  for i = pos to stop - 1 do
     h := hash_mix !h (Array.unsafe_get data i)
   done;
   !h
 
-(* All-zero blocks get their hash by construction — no data read. Full
-   blocks dominate, so the 63-page constant is precomputed once. *)
-let zero_words = Array.make block_pages 0
-let zero_full_hash = hash_words zero_words ~pos:0 ~len:block_pages
+(* [zero_prefix.(k)] is the running state of a full block after its
+   first [k] words, all zero. A full block's hash therefore starts from
+   the table entry at its first nonzero word and mixes only the rest:
+   the same [hash_mix] chain, so the same value, without a multiply per
+   leading zero. Mostly-zero blocks (sparse heaps, stacks) are common in
+   the restore-time audit. *)
+let zero_prefix =
+  let t = Array.make (block_pages + 1) (hash_init block_pages) in
+  for k = 1 to block_pages do
+    t.(k) <- hash_mix t.(k - 1) 0
+  done;
+  t
 
+let hash_words data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length data - len then
+    invalid_arg "Snapshot.hash_words: range out of bounds";
+  if len = block_pages then begin
+    (* Four words per test while they are all zero, then word by word. *)
+    let k = ref 0 in
+    while
+      !k + 4 <= block_pages
+      && Array.unsafe_get data (pos + !k)
+         lor Array.unsafe_get data (pos + !k + 1)
+         lor Array.unsafe_get data (pos + !k + 2)
+         lor Array.unsafe_get data (pos + !k + 3)
+         = 0
+    do
+      k := !k + 4
+    done;
+    while !k < block_pages && Array.unsafe_get data (pos + !k) = 0 do
+      incr k
+    done;
+    hash_from (Array.unsafe_get zero_prefix !k) data ~pos:(pos + !k) ~stop:(pos + len)
+  end
+  else hash_from (hash_init len) data ~pos ~stop:(pos + len)
+
+(* All-zero blocks get their hash by construction — no data read. *)
 let zero_block_hash len =
-  if len = block_pages then zero_full_hash else hash_words zero_words ~pos:0 ~len
+  if len = block_pages then zero_prefix.(block_pages)
+  else begin
+    let h = ref (hash_init len) in
+    for _ = 1 to len do
+      h := hash_mix !h 0
+    done;
+    !h
+  end
 
 let region_blocks (r : region) = (r.n_pages + block_pages - 1) / block_pages
 
@@ -132,7 +173,7 @@ let copy_region acct fault cost (v : Vma.t) =
        elided exactly where the copy is. Hashing before the store also
        means a corrupted buffer (below) never forges its own hash. *)
     if !w <> Bitmap.mask ~pos:0 ~len:lim then begin
-      Array.blit src !i data !i lim;
+      Gh_sim.Words.blit src !i data !i lim;
       hashes.(!i / bpw) <- hash_words src ~pos:!i ~len:lim
     end
     else hashes.(!i / bpw) <- zero_block_hash lim;
@@ -155,7 +196,7 @@ let copy_region acct fault cost (v : Vma.t) =
        zeros map describes what is actually stored, so a restore would
        faithfully write the torn — wrong — content back. *)
     let cut = 1 + Fault.draw fault Fault.Snapshot_torn ~bound:(n - 1) in
-    Array.fill data cut (n - cut) 0;
+    Gh_sim.Words.fill data cut (n - cut) 0;
     Bitmap.set_range zeros ~pos:cut ~len:(n - cut) true
   end;
   {

@@ -36,7 +36,10 @@ val block_pages : int
 
 val hash_words : int array -> pos:int -> len:int -> int
 (** Hash [len] page words starting at [pos]. Any single-word change is
-    guaranteed to change the hash (the per-word mix is injective). *)
+    guaranteed to change the hash (the per-word mix is injective). Full
+    blocks skip their leading zero words through a precomputed table of
+    the running state; the value is that of the plain left fold.
+    @raise Invalid_argument if the range is outside [data]. *)
 
 val zero_block_hash : int -> int
 (** [zero_block_hash len] = [hash_words] of [len] zero words, without

@@ -274,8 +274,8 @@ let check_range (vma : Vma.t) ~pos ~len op =
 
 (* Bulk page kernels. One iteration per packed 63-page bitmap word:
    fault classes fall out of popcounts over word masks, bitmap updates
-   are word ops, data moves are Array.fill/blit. The classification
-   mirrors [write_one] exactly:
+   are word ops, data moves are barrier-free [Gh_sim.Words] fills. The
+   classification mirrors [write_one] exactly:
      first-touch : untouched ∧ m            (then untouched &= ¬m)
      demand-zero : ¬present ∧ m             (born dirty, no re-arm)
      CoW         : cow_pending ∧ present ∧ m
@@ -324,7 +324,7 @@ let dirty_range t acct vma ~pos ~len ~value =
         end;
         Bitmap.or_word present wi m;
         Bitmap.or_word sd wi m;
-        Array.fill vma.Vma.data !i n value
+        Gh_sim.Words.fill vma.Vma.data !i n value
       end;
       i := !i + n
     done
@@ -403,14 +403,14 @@ let poke_range (vma : Vma.t) ~pos ~len ~src ~src_pos =
   check_range vma ~pos ~len "poke_range";
   if src_pos < 0 || src_pos + len > Array.length src then
     invalid_arg "Address_space.poke_range: source range out of bounds";
-  Array.blit src src_pos vma.Vma.data pos len;
+  Gh_sim.Words.blit src src_pos vma.Vma.data pos len;
   Bitmap.set_range vma.Vma.present ~pos ~len true;
   Bitmap.set_range vma.Vma.soft_dirty ~pos ~len true;
   Bitmap.set_range vma.Vma.cow_pending ~pos ~len false
 
 let zero_range (vma : Vma.t) ~pos ~len =
   check_range vma ~pos ~len "zero_range";
-  Array.fill vma.Vma.data pos len 0;
+  Gh_sim.Words.fill vma.Vma.data pos len 0;
   Bitmap.set_range vma.Vma.present ~pos ~len true;
   Bitmap.set_range vma.Vma.soft_dirty ~pos ~len true;
   Bitmap.set_range vma.Vma.cow_pending ~pos ~len false
@@ -502,7 +502,7 @@ let madvise_dontneed t vma ~pos ~len =
   Bitmap.set_range vma.Vma.present ~pos ~len false;
   Bitmap.set_range vma.Vma.soft_dirty ~pos ~len false;
   Bitmap.set_range vma.Vma.cow_pending ~pos ~len false;
-  Array.fill vma.Vma.data pos len 0
+  Gh_sim.Words.fill vma.Vma.data pos len 0
 
 let resize_vma t vma n_pages =
   if index_of t vma < 0 then invalid_arg "Address_space.resize_vma: foreign VMA";

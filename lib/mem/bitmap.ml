@@ -44,7 +44,7 @@ let set t i v =
   Array.unsafe_set t.words w (if v then cur lor (1 lsl b) else cur land lnot (1 lsl b))
 
 let fill t v =
-  Array.fill t.words 0 (Array.length t.words) (if v then full else 0);
+  Gh_sim.Words.fill t.words 0 (Array.length t.words) (if v then full else 0);
   if v then clamp_tail t
 
 let copy t = { len = t.len; words = Array.copy t.words }
@@ -52,7 +52,7 @@ let copy t = { len = t.len; words = Array.copy t.words }
 let resize t len =
   if len < 0 then invalid_arg "Bitmap.resize: negative length";
   let nt = { len; words = Array.make (n_words len) 0 } in
-  Array.blit t.words 0 nt.words 0 (min (Array.length t.words) (Array.length nt.words));
+  Gh_sim.Words.blit t.words 0 nt.words 0 (min (Array.length t.words) (Array.length nt.words));
   clamp_tail nt;
   nt
 
@@ -237,14 +237,6 @@ let fold_runs t ~init ~f =
   done;
   if !run_start >= 0 then acc := f !acc ~pos:!run_start ~len:(t.len - !run_start);
   !acc
-
-let assign dst src =
-  let n = min (Array.length dst.words) (Array.length src.words) in
-  Array.blit src.words 0 dst.words 0 n;
-  Array.fill dst.words n (Array.length dst.words - n) 0;
-  (* [src]'s own tail invariant covers bits in [src.len, n*63); only bits
-     past [dst.len] (when [src] is the longer map) need clearing. *)
-  clamp_tail dst
 
 let equal a b =
   a.len = b.len && Array.for_all2 ( = ) a.words b.words

@@ -33,10 +33,6 @@ val set_range : t -> pos:int -> len:int -> bool -> unit
 
 val copy : t -> t
 
-val assign : t -> t -> unit
-(** [assign dst src] overwrites [dst] with [src] over the common prefix and
-    clears the rest of [dst]; lengths are unchanged. Word-level blit. *)
-
 val resize : t -> int -> t
 (** [resize t n] keeps the common prefix, zero-extends when growing. *)
 

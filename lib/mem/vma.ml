@@ -53,8 +53,8 @@ let resize t n_pages =
   if n_pages <> t.n_pages then begin
     let keep = min t.n_pages n_pages in
     let data = Gh_sim.Buffer_pool.acquire_raw n_pages in
-    Array.blit t.data 0 data 0 keep;
-    if n_pages > keep then Array.fill data keep (n_pages - keep) 0;
+    Gh_sim.Words.blit t.data 0 data 0 keep;
+    Gh_sim.Words.fill data keep (n_pages - keep) 0;
     Gh_sim.Buffer_pool.release t.data;
     t.data <- data;
     t.present <- Bitmap.resize t.present n_pages;
@@ -66,7 +66,7 @@ let resize t n_pages =
 
 let clone_cow t =
   let data = Gh_sim.Buffer_pool.acquire_raw t.n_pages in
-  Array.blit t.data 0 data 0 t.n_pages;
+  Gh_sim.Words.blit t.data 0 data 0 t.n_pages;
   {
     t with
     data;
@@ -82,14 +82,6 @@ let clone_cow t =
 let recycle t =
   Gh_sim.Buffer_pool.release t.data;
   t.data <- [||]
-
-let restore_data_from t data present =
-  let n = min t.n_pages (Array.length data) in
-  Array.blit data 0 t.data 0 n;
-  Bitmap.assign t.present present;
-  for i = Bitmap.length present to t.n_pages - 1 do
-    t.data.(i) <- 0
-  done
 
 let pp ppf t =
   Format.fprintf ppf "%012x-%012x %a %s (%d pages, %d present, %d dirty)"

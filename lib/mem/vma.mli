@@ -56,10 +56,5 @@ val recycle : t -> unit
     replace it with an empty array. Only for VMAs that nothing will touch
     again (a reaped fork child); any later page access raises. *)
 
-val restore_data_from : t -> int array -> Bitmap.t -> unit
-(** [restore_data_from t data present] overwrites page contents and
-    presence wholesale (FAASM-style remap; the caller charges costs).
-    Arrays may be shorter or longer than [t]; the common prefix is used. *)
-
 val pp : Format.formatter -> t -> unit
 (** One /proc/pid/maps-style line. *)

@@ -25,7 +25,8 @@ let max_held_words = 64 * 1024 * 1024
 
 (* GH_BUFFER_POOL=off restores the pre-pool allocation profile (every
    acquire a fresh [Array.make], every release dropped) — the A/B knob
-   behind the GC-churn numbers in BENCH_engine.json. *)
+   for measuring what pooling saves in GC churn (`gh-bench run
+   --gc-stats`, or perfbench's [alloc_mwords] and [peak_heap_mb]). *)
 let enabled =
   match Sys.getenv_opt "GH_BUFFER_POOL" with
   | Some ("0" | "off" | "false") -> false
@@ -69,7 +70,7 @@ let acquire_zeroed n =
   if n < min_pooled_len then Array.make n 0
   else begin
     let arr = acquire_raw n in
-    Array.fill arr 0 n 0;
+    Words.fill arr 0 n 0;
     arr
   end
 

@@ -505,6 +505,103 @@ let snapshot_zeros_faithful =
              end)
         snap.Snapshot.regions (As.vmas p.Process.mem))
 
+(* The barrier-free word kernels are drop-in replacements for
+   [Array.blit]/[Array.fill] on int arrays: same contents afterwards, and
+   [Invalid_argument] in exactly the same cases (arrays untouched then).
+   Arrays run past the 256-word minor-heap limit so the major-heap case
+   the kernels exist for is covered; same-array blits draw the
+   destination within a few words of the source so overlaps occur in
+   both directions. *)
+type words_op =
+  | W_blit of bool * int * int * int  (* same array, src_pos, dst_pos, len *)
+  | W_fill of int * int * int  (* pos, len, value *)
+
+let words_gen =
+  let open QCheck2.Gen in
+  let* n = frequency [ (3, int_range 0 40); (1, int_range 250 600) ] in
+  let* a = array_size (pure n) int in
+  let* b = array_size (int_range 0 (n + 8)) int in
+  let idx = int_range (-2) (n + 2) in
+  let* op =
+    frequency
+      [
+        ( 2,
+          let* src_pos = idx and* len = int_range (-2) (n + 2) and* dst_pos = idx in
+          pure (W_blit (false, src_pos, dst_pos, len)) );
+        ( 3,
+          let* src_pos = idx and* len = int_range (-2) (n + 2) and* d = int_range (-9) 9 in
+          pure (W_blit (true, src_pos, src_pos + d, len)) );
+        ( 2,
+          let* pos = idx and* len = int_range (-2) (n + 2) and* v = int in
+          pure (W_fill (pos, len, v)) );
+      ]
+  in
+  pure (a, b, op)
+
+let print_words (a, b, op) =
+  Printf.sprintf "len a=%d, len b=%d, %s" (Array.length a) (Array.length b)
+    (match op with
+    | W_blit (same, sp, dp, len) ->
+        Printf.sprintf "blit same=%b src_pos=%d dst_pos=%d len=%d" same sp dp len
+    | W_fill (pos, len, v) -> Printf.sprintf "fill pos=%d len=%d v=%d" pos len v)
+
+let words_match_array =
+  QCheck2.Test.make ~name:"Words.blit/fill match Array.blit/fill" ~count:1000
+    ~print:print_words words_gen (fun (a, b, op) ->
+      let run blit fill =
+        let a = Array.copy a and b = Array.copy b in
+        let raised =
+          try
+            (match op with
+            | W_blit (true, sp, dp, len) -> blit a sp a dp len
+            | W_blit (false, sp, dp, len) -> blit a sp b dp len
+            | W_fill (pos, len, v) -> fill a pos len v);
+            false
+          with Invalid_argument _ -> true
+        in
+        (raised, a, b)
+      in
+      run Array.blit Array.fill = run Gh_sim.Words.blit Gh_sim.Words.fill)
+
+(* [Snapshot.hash_words] is pinned to the plain left fold of its mix,
+   written out here with its constants: stored block hashes, dedup keys
+   and audit verdicts all depend on these exact values, so the
+   zero-prefix shortcut (or any later rewrite) must not move them. Data
+   mixes leading zero runs, interior zero runs and dense words. *)
+let ref_hash data ~pos ~len =
+  let mix h x =
+    let h = h lxor x in
+    let h = h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+  in
+  let h = ref (mix 0x27D4EB2F165667C5 len) in
+  for i = pos to pos + len - 1 do
+    h := mix !h data.(i)
+  done;
+  !h
+
+let hash_gen =
+  let open QCheck2.Gen in
+  let* len = frequency [ (3, pure Snapshot.block_pages); (1, int_range 0 130) ] in
+  let* pos = int_range 0 70 and* extra = int_range 0 5 in
+  let* zero_prefix = frequency [ (1, pure len); (3, int_range 0 len) ] in
+  let word = frequency [ (3, pure 0); (2, int); (1, int_range (-3) 3) ] in
+  let* body = array_size (pure (pos + len + extra)) word in
+  for i = pos to pos + zero_prefix - 1 do
+    body.(i) <- 0
+  done;
+  pure (body, pos, len)
+
+let hash_words_matches_fold =
+  QCheck2.Test.make ~name:"hash_words is the plain hash_mix fold" ~count:1000
+    ~print:(fun (d, pos, len) ->
+      Printf.sprintf "pos=%d len=%d data=[%s]" pos len
+        (String.concat ";" (Array.to_list (Array.map string_of_int d))))
+    hash_gen
+    (fun (data, pos, len) ->
+      Snapshot.hash_words data ~pos ~len = ref_hash data ~pos ~len
+      && Snapshot.zero_block_hash len = ref_hash (Array.make len 0) ~pos:0 ~len)
+
 (* ------------------------------------------------------ *)
 (* Strategy invariants over randomly generated functions.  *)
 (* ------------------------------------------------------ *)
@@ -608,5 +705,10 @@ let () =
           to_alcotest dirty_range_sets_exactly;
         ] );
       ( "mem-kernels",
-        [ to_alcotest bulk_matches_scalar; to_alcotest snapshot_zeros_faithful ] );
+        [
+          to_alcotest bulk_matches_scalar;
+          to_alcotest snapshot_zeros_faithful;
+          to_alcotest words_match_array;
+          to_alcotest hash_words_matches_fold;
+        ] );
     ]
