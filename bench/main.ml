@@ -363,6 +363,46 @@ let hash_tests =
              done)))
     hash_blocks
 
+(* Batched runs: [runs_count] six-page runs spread over a warm 50K-page
+   heap, the shape of a GH request's write plan (about 6-page chunks).
+   [dirty_range] pays one call per run and [dirty_runs] one call for all
+   of them; [poke_range] is the restore copy's per-run call. Each bench
+   run sweeps every run once. *)
+let runs_heap_pages = 50_000
+let runs_count = 600
+let runs_len = 6
+
+let runs_ops =
+  let mem, heap = warm_heap runs_heap_pages in
+  let spacing = runs_heap_pages / runs_count in
+  let runs =
+    Array.init (2 * runs_count) (fun j -> if j land 1 = 0 then j / 2 * spacing else runs_len)
+  in
+  let scratch = Account.create () in
+  let src = Array.make runs_len 5 in
+  [
+    ( "dirty_range",
+      fun () ->
+        for k = 0 to runs_count - 1 do
+          As.dirty_range mem scratch heap ~pos:runs.(2 * k) ~len:runs_len ~value:3
+        done );
+    ("dirty_runs", fun () -> As.dirty_runs mem scratch heap ~runs ~skip:(fun _ -> false) ~value:3);
+    ( "poke_range",
+      fun () ->
+        for k = 0 to runs_count - 1 do
+          As.poke_range heap ~pos:runs.(2 * k) ~len:runs_len ~src ~src_pos:0
+        done );
+  ]
+
+let runs_tests = List.map (fun (op, f) -> Test.make ~name:("runs/" ^ op) (Staged.stage f)) runs_ops
+
+(* Minor words one sweep allocates, per run (after a warm-up sweep). *)
+let minor_words_per_run f =
+  f ();
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int runs_count
+
 (* Run one bechamel test and return its (name, ns-per-run) estimates. *)
 let estimates test =
   let instances = Instance.[ monotonic_clock ] in
@@ -411,9 +451,9 @@ let run_bitmap_bench () =
 let fig3_pre_pr_us = 120.625
 
 let run_mem_bench () =
-  print_endline "== Memory fast paths: bulk kernels, word kernels, block hash ==";
+  print_endline "== Memory fast paths: bulk kernels, word kernels, block hash, runs ==";
   Printf.printf "%-32s %14s\n" "benchmark" "time/run";
-  let results = run_and_print (mem_tests @ kernel_tests @ hash_tests) in
+  let results = run_and_print (mem_tests @ kernel_tests @ hash_tests @ runs_tests) in
   let find name = List.assoc_opt name results in
   let fig3 =
     match estimates test_fig3 with (_, t) :: _ -> Some t | [] -> None
@@ -472,6 +512,20 @@ let run_mem_bench () =
           Printf.printf "hash/block-%s: %s per block\n" kind (time_str per_block)
       | None -> ())
     hash_blocks;
+  Buffer.add_string buf
+    (Printf.sprintf "\n  },\n  \"runs\": {\n    \"heap_pages\": %d,\n    \"runs\": %d,\n    \"run_pages\": %d"
+       runs_heap_pages runs_count runs_len);
+  List.iter
+    (fun (op, f) ->
+      match find ("runs/" ^ op) with
+      | Some t ->
+          let ns = t /. float_of_int runs_count and words = minor_words_per_run f in
+          Buffer.add_string buf
+            (Printf.sprintf ",\n    \"%s_ns_per_run\": %.1f,\n    \"%s_minor_words_per_run\": %.2f"
+               op ns op words);
+          Printf.printf "runs/%s: %s and %.2f minor words per run\n" op (time_str ns) words
+      | None -> ())
+    runs_ops;
   Buffer.add_string buf "\n  }";
   (match fig3 with
   | Some t ->

@@ -87,6 +87,29 @@ md5sum /tmp/gh_ci_runall_quick.txt | awk '{print $1}' \
 test -s /tmp/gh_ci_series.txt
 test -s /tmp/gh_ci_slo.json
 
+# Allocation gate: a serial quick sweep allocates a deterministic number
+# of words, so a rise over the committed counts in
+# ci/runall_quick_alloc.txt is an allocation regression. Promotion into
+# the major heap shifts by some thousands of words with the length of
+# argv, the environment and the checkout path, so both counts get 0.1%
+# slack. Lower the committed counts when a change cuts allocation.
+dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick --gc-stats \
+  2>/tmp/gh_ci_alloc.txt >/dev/null
+awk 'NR == FNR { limit[$1] = $2; next }
+     /^gc-stats: minor_words=/ {
+       for (i = 2; i <= 3; i++) {
+         split($i, kv, "=")
+         seen++
+         if (!(kv[1] in limit)) { bad = 1; continue }
+         if (kv[2] > limit[kv[1]] * 1.001) {
+           printf "ci/check.sh: %s = %d exceeds %d\n", kv[1], kv[2], limit[kv[1]] \
+             > "/dev/stderr"
+           bad = 1
+         }
+       }
+     }
+     END { exit (bad || seen != 2) }' ci/runall_quick_alloc.txt /tmp/gh_ci_alloc.txt
+
 # Parallel bit-identity gate: the same sweep fanned across 4 domains must
 # be byte-for-byte identical to the serial run (and hence to the committed
 # baseline) — cells seed their own RNGs and merge in input order, so any
@@ -96,6 +119,12 @@ dune exec bin/gh_bench.exe -- run all --seed 42 --profile quick -j 4 \
 diff /tmp/gh_ci_runall_quick.txt /tmp/gh_ci_runall_quick_j4.txt
 md5sum /tmp/gh_ci_runall_quick_j4.txt | awk '{print $1}' \
   | diff - ci/runall_quick.md5
+
+# Full-profile bit-identity gate: the paper-sized sweep, fanned over 2
+# domains (byte-identical to a serial run, as the gate above shows for
+# the quick profile), must replay the committed ci/runall_full.md5.
+dune exec bin/gh_bench.exe -- run all --seed 42 -j 2 > /tmp/gh_ci_runall_full.txt
+md5sum /tmp/gh_ci_runall_full.txt | awk '{print $1}' | diff - ci/runall_full.md5
 
 # Domain-pool suite once more with an oversubscribed job count: the
 # List.map-equivalence properties must hold when workers outnumber cores.

@@ -70,16 +70,21 @@ type response = {
 
 (* A plan is a set of (vma, chunk position, chunk length) ranges covering a
    page quota, spread evenly over the writable pool so that dirty-page
-   density translates into run lengths the way it does for real heaps. *)
-type chunk = { vma : Vma.t; pos : int; len : int }
+   density translates into run lengths the way it does for real heaps. It
+   is stored as per-VMA segments: each maximal stretch of consecutive
+   chunks in one VMA, with the chunks packed as (pos, len) pairs, so a
+   request makes one memory-model call per segment. [first] is the
+   plan-wide index of the segment's first chunk (chunk [first + k] is
+   run [k]); [extent] is the largest [pos + len] among its runs. *)
+type segment = { vma : Vma.t; first : int; runs : int array; extent : int }
 
 type instance = {
   spec : spec;
   rt : Runtime.t;
   process : Process.t;
   pool : Vma.t array;  (* heap + anonymous arenas, the writable pages *)
-  write_plan : chunk array;
-  read_plan : chunk array;
+  write_plan : segment array;
+  read_plan : segment array;
   prot_region : Vma.t;  (* flipped read-only by churn, flipped back by restore *)
   gc_region : Vma.t option;  (* where Node's GC re-dirtying lands *)
   mutable clean_brk : int;
@@ -88,6 +93,32 @@ type instance = {
   mutable invocations : int;
   mutable services : Services.t option;
 }
+
+(* Group a plan's chunks, given as (vma, pos, len) in plan order, into
+   segments. *)
+let segments chunks =
+  let chunks = Array.of_list chunks in
+  let n = Array.length chunks in
+  let segs = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    let vma, _, _ = chunks.(!i) in
+    let j = ref !i in
+    while !j < n && (let v, _, _ = chunks.(!j) in v == vma) do
+      incr j
+    done;
+    let runs = Array.make (2 * (!j - !i)) 0 in
+    let extent = ref 0 in
+    for k = !i to !j - 1 do
+      let _, pos, len = chunks.(k) in
+      runs.(2 * (k - !i)) <- pos;
+      runs.((2 * (k - !i)) + 1) <- len;
+      extent := max !extent (pos + len)
+    done;
+    segs := { vma; first = !i; runs; extent = !extent } :: !segs;
+    i := !j
+  done;
+  Array.of_list (List.rev !segs)
 
 (* Spread [quota] pages over the pool in chunks of [chunk_len], evenly. If
    the quota approaches the pool size the chunks merge into long runs —
@@ -112,7 +143,7 @@ let spread_plan pool ~quota ~chunk_len =
           if off >= v.Vma.n_pages then go (i + 1) (off - v.Vma.n_pages) len
           else begin
             let here = min len (v.Vma.n_pages - off) in
-            chunks := { vma = v; pos = off; len = here } :: !chunks;
+            chunks := (v, off, here) :: !chunks;
             go (i + 1) 0 (len - here)
           end
         end
@@ -133,7 +164,7 @@ let spread_plan pool ~quota ~chunk_len =
         remaining := !remaining - len
       end
     done;
-    Array.of_list (List.rev !chunks)
+    segments (List.rev !chunks)
   end
 
 (* A Bernoulli page-level dirty pattern (used by the §5.2 microbenchmark):
@@ -146,7 +177,7 @@ let scattered_plan pool ~quota =
   if quota = 0 then [||]
   else begin
     let chunks = ref [] in
-    let emit vma pos len = if len > 0 then chunks := { vma; pos; len } :: !chunks in
+    let emit vma pos len = if len > 0 then chunks := (vma, pos, len) :: !chunks in
     let base = ref 0 in
     Array.iter
       (fun (v : Vma.t) ->
@@ -163,7 +194,7 @@ let scattered_plan pool ~quota =
         if !run_start >= 0 then emit v !run_start (v.Vma.n_pages - !run_start);
         base := !base + v.Vma.n_pages)
       pool;
-    Array.of_list (List.rev !chunks)
+    segments (List.rev !chunks)
   end
 
 let build ?(cost = Gh_kernel.Cost.default) spec =
@@ -296,38 +327,51 @@ let brk_excursion t ctx acct =
    page in. *)
 let dirty_plan t ctx acct ~nonce ~value =
   let m = cmem ctx in
-  Array.iteri
-    (fun idx { vma; pos; len } ->
-      if (idx + nonce) mod 8 <> 0 then begin
-        let vma = ctx.resolve vma in
-        As.dirty_range m acct vma ~pos ~len ~value
-      end)
+  Array.iter
+    (fun { vma; first; runs; _ } ->
+      As.dirty_runs m acct (ctx.resolve vma) ~runs
+        ~skip:(fun k -> (first + k + nonce) mod 8 = 0)
+        ~value)
     t.write_plan
 
+(* Run [k] of [runs] clipped to a VMA of [n_pages] pages. *)
+let clipped_len runs k n_pages =
+  let pos = runs.(2 * k) in
+  min runs.((2 * k) + 1) (max 0 (n_pages - pos))
+
 (* Read the working set; a buggy function also exfiltrates foreign secrets
-   it happens to observe. *)
+   it happens to observe. Runs past the end of a VMA that has shrunk since
+   [build] are clipped, one [read_range] each. *)
 let read_working_set t ctx acct ~principal =
   let m = cmem ctx in
   let residue = ref [] in
   let n_residue = ref 0 in
   Array.iter
-    (fun { vma; pos; len } ->
+    (fun { vma; runs; extent; _ } ->
       let vma = ctx.resolve vma in
-      let len = min len (max 0 (vma.Vma.n_pages - pos)) in
-      As.read_range m acct vma ~pos ~len;
+      let n_pages = vma.Vma.n_pages in
+      let n_runs = Array.length runs / 2 in
+      if extent <= n_pages then As.read_runs m acct vma ~runs
+      else
+        for k = 0 to n_runs - 1 do
+          As.read_range m acct vma ~pos:runs.(2 * k) ~len:(clipped_len runs k n_pages)
+        done;
       if t.spec.buggy_residue_leak then
-        for i = pos to pos + len - 1 do
-          let w = As.peek vma i in
-          (* A residual secret: tagged word (nonce in the upper bits, owner
-             in the lower 16) of neither the caller nor the dummy run. *)
-          if w lsr 16 <> 0 && w land 0xFFFF <> 0 && w land 0xFFFF <> 0xFFFF
-             && (not (Principal.owns_word principal w))
-             && (not (List.mem w !residue))
-             && !n_residue < 16
-          then begin
-            residue := w :: !residue;
-            incr n_residue
-          end
+        for k = 0 to n_runs - 1 do
+          let pos = runs.(2 * k) in
+          for i = pos to pos + clipped_len runs k n_pages - 1 do
+            let w = As.peek vma i in
+            (* A residual secret: tagged word (nonce in the upper bits, owner
+               in the lower 16) of neither the caller nor the dummy run. *)
+            if w lsr 16 <> 0 && w land 0xFFFF <> 0 && w land 0xFFFF <> 0xFFFF
+               && (not (Principal.owns_word principal w))
+               && (not (List.mem w !residue))
+               && !n_residue < 16
+            then begin
+              residue := w :: !residue;
+              incr n_residue
+            end
+          done
         done)
     t.read_plan;
   !residue

@@ -158,8 +158,10 @@ let stack t =
   | Some v -> v
   | None -> invalid_arg "Address_space.stack: stack was unmapped"
 
-(* Fault accounting shared by the single-page and bulk accessors. The
-   counters let bulk ranges charge once instead of per page. *)
+(* Fault counts of the scalar primitives ([write_one]/[read_one]): the
+   single-page accessors, the [Scalar] oracle, and the CoW-hook fallback
+   words of the bulk kernels. The bulk kernels themselves count in local
+   ints and allocate nothing. *)
 type fault_counts = {
   mutable first_touch : int;
   mutable demand_zero : int;
@@ -185,22 +187,29 @@ let salvage_range t (vma : Vma.t) ~pos ~len =
           Bitmap.set vma.Vma.cow_pending i false)
   end
 
-let charge_faults t acct fc ~gran ~reads ~writes =
+(* With huge-page-backed regions one PTE fault covers [gran] pages. *)
+let per_block gran n = if gran <= 1 then n else (n + gran - 1) / gran
+
+(* The charge, in ns, of one access (one page or one run): fault counts
+   are rounded per block of the VMA's fault granularity. *)
+let fault_ns t ~gran ~first_touch ~demand_zero ~cow ~track ~reads ~writes =
   let c = t.cost in
   let track_ns =
     match c.Cost.tracking with
     | Cost.Soft_dirty | Cost.Kernel_list -> c.Cost.sd_fault_ns
     | Cost.Uffd -> c.Cost.uffd_fault_ns
   in
-  (* With huge-page-backed regions one PTE fault covers [gran] pages. *)
-  let per_block n = if gran <= 1 then n else (n + gran - 1) / gran in
+  (first_touch * c.Cost.first_touch_fault_ns)
+  + (per_block gran demand_zero * c.Cost.demand_zero_fault_ns)
+  + (cow * c.Cost.cow_fault_ns)
+  + (per_block gran track * track_ns)
+  + (reads * c.Cost.page_read_ns)
+  + (writes * c.Cost.page_write_ns)
+
+let charge_faults t acct fc ~gran ~reads ~writes =
   Account.charge acct
-    ((fc.first_touch * c.Cost.first_touch_fault_ns)
-    + (per_block fc.demand_zero * c.Cost.demand_zero_fault_ns)
-    + (fc.cow * c.Cost.cow_fault_ns)
-    + (per_block fc.track * track_ns)
-    + (reads * c.Cost.page_read_ns)
-    + (writes * c.Cost.page_write_ns))
+    (fault_ns t ~gran ~first_touch:fc.first_touch ~demand_zero:fc.demand_zero ~cow:fc.cow
+       ~track:fc.track ~reads ~writes)
 
 let write_one t fc (vma : Vma.t) i v =
   if not vma.prot.Prot.write then invalid_arg "Address_space: write to non-writable VMA";
@@ -282,17 +291,24 @@ let check_range (vma : Vma.t) ~pos ~len op =
      re-arm      : sd_on ∧ present ∧ ¬soft_dirty ∧ m
    Words holding CoW hits while a salvage hook is installed take the
    scalar path so the hook still observes pre-write contents page by
-   page, in page order — bit-identical behavior by construction. *)
-let dirty_range t acct vma ~pos ~len ~value =
-  check_range vma ~pos ~len "dirty_range";
-  let fc = no_faults () in
-  if len > 0 then begin
+   page, in page order — bit-identical behavior by construction.
+
+   [write_run]/[read_run] apply one run and return its charge in ns
+   instead of charging it, so a batch of runs charges its sum once. They
+   allocate nothing: counts live in local ints, and only a CoW-hook
+   fallback word builds a [fault_counts]. [op] names the entry point in
+   the range error. *)
+let write_run t (vma : Vma.t) ~pos ~len ~value op =
+  check_range vma ~pos ~len op;
+  if len = 0 then 0
+  else begin
     if not vma.Vma.prot.Prot.write then
       invalid_arg "Address_space: write to non-writable VMA";
     let present = vma.Vma.present
     and sd = vma.Vma.soft_dirty
     and cowp = vma.Vma.cow_pending
     and unt = vma.Vma.untouched in
+    let first_touch = ref 0 and demand_zero = ref 0 and cow = ref 0 and track = ref 0 in
     let stop = pos + len in
     let i = ref pos in
     while !i < stop do
@@ -302,44 +318,52 @@ let dirty_range t acct vma ~pos ~len ~value =
       let m = Bitmap.mask ~pos:b ~len:n in
       let pw = Bitmap.word present wi in
       let cow_hits = Bitmap.word cowp wi land pw land m in
-      if cow_hits <> 0 && t.cow_hook <> None then
+      if cow_hits <> 0 && (match t.cow_hook with Some _ -> true | None -> false) then begin
+        let fc = no_faults () in
         for k = !i to !i + n - 1 do
           write_one t fc vma k value
-        done
+        done;
+        first_touch := !first_touch + fc.first_touch;
+        demand_zero := !demand_zero + fc.demand_zero;
+        cow := !cow + fc.cow;
+        track := !track + fc.track
+      end
       else begin
         let uw = Bitmap.word unt wi land m in
         if uw <> 0 then begin
-          fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
+          first_touch := !first_touch + Bitmap.popcount uw;
           Bitmap.andnot_word unt wi uw
         end;
         let dz = lnot pw land m in
-        if dz <> 0 then fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
+        if dz <> 0 then demand_zero := !demand_zero + Bitmap.popcount dz;
         if cow_hits <> 0 then begin
-          fc.cow <- fc.cow + Bitmap.popcount cow_hits;
+          cow := !cow + Bitmap.popcount cow_hits;
           Bitmap.andnot_word cowp wi cow_hits
         end;
         if t.sd_on then begin
           let rearm = pw land lnot (Bitmap.word sd wi) land m in
-          if rearm <> 0 then fc.track <- fc.track + Bitmap.popcount rearm
+          if rearm <> 0 then track := !track + Bitmap.popcount rearm
         end;
         Bitmap.or_word present wi m;
         Bitmap.or_word sd wi m;
         Gh_sim.Words.fill vma.Vma.data !i n value
       end;
       i := !i + n
-    done
-  end;
-  charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:0 ~writes:len
+    done;
+    fault_ns t ~gran:vma.Vma.fault_gran ~first_touch:!first_touch ~demand_zero:!demand_zero
+      ~cow:!cow ~track:!track ~reads:0 ~writes:len
+  end
 
-let read_range t acct vma ~pos ~len =
-  check_range vma ~pos ~len "read_range";
-  let fc = no_faults () in
-  if len > 0 then begin
+let read_run t (vma : Vma.t) ~pos ~len op =
+  check_range vma ~pos ~len op;
+  if len = 0 then 0
+  else begin
     if not vma.Vma.prot.Prot.read then
       invalid_arg "Address_space: read from non-readable VMA";
     let present = vma.Vma.present
     and sd = vma.Vma.soft_dirty
     and unt = vma.Vma.untouched in
+    let first_touch = ref 0 and demand_zero = ref 0 in
     let stop = pos + len in
     let i = ref pos in
     while !i < stop do
@@ -349,21 +373,74 @@ let read_range t acct vma ~pos ~len =
       let m = Bitmap.mask ~pos:b ~len:n in
       let uw = Bitmap.word unt wi land m in
       if uw <> 0 then begin
-        fc.first_touch <- fc.first_touch + Bitmap.popcount uw;
+        first_touch := !first_touch + Bitmap.popcount uw;
         Bitmap.andnot_word unt wi uw
       end;
       (* Only pages faulted in by this read become (born-dirty) present;
          already-present pages stay clean under a read. *)
       let dz = lnot (Bitmap.word present wi) land m in
       if dz <> 0 then begin
-        fc.demand_zero <- fc.demand_zero + Bitmap.popcount dz;
+        demand_zero := !demand_zero + Bitmap.popcount dz;
         Bitmap.or_word present wi dz;
         Bitmap.or_word sd wi dz
       end;
       i := !i + n
+    done;
+    fault_ns t ~gran:vma.Vma.fault_gran ~first_touch:!first_touch ~demand_zero:!demand_zero
+      ~cow:0 ~track:0 ~reads:len ~writes:0
+  end
+
+let dirty_range t acct vma ~pos ~len ~value =
+  Account.charge acct (write_run t vma ~pos ~len ~value "dirty_range")
+
+let read_range t acct vma ~pos ~len =
+  Account.charge acct (read_run t vma ~pos ~len "read_range")
+
+(* Batched runs: [runs] packs (pos, len) pairs. The summed charge is
+   applied once — and also when a run raises, so the runs before it stay
+   both applied and charged, exactly as separate [dirty_range] calls.
+   Written out twice rather than shared through a per-run closure: the
+   closure would be allocated on every batch. *)
+let check_runs runs op =
+  if Array.length runs land 1 <> 0 then
+    invalid_arg ("Address_space." ^ op ^ ": odd-length run array")
+
+let dirty_runs t acct vma ~runs ~skip ~value =
+  check_runs runs "dirty_runs";
+  let ns = ref 0 in
+  match
+    for k = 0 to (Array.length runs / 2) - 1 do
+      if not (skip k) then
+        ns :=
+          !ns
+          + write_run t vma ~pos:(Array.unsafe_get runs (2 * k))
+              ~len:(Array.unsafe_get runs ((2 * k) + 1))
+              ~value "dirty_runs"
     done
-  end;
-  charge_faults t acct fc ~gran:vma.Vma.fault_gran ~reads:len ~writes:0
+  with
+  | () -> Account.charge acct !ns
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Account.charge acct !ns;
+      Printexc.raise_with_backtrace e bt
+
+let read_runs t acct vma ~runs =
+  check_runs runs "read_runs";
+  let ns = ref 0 in
+  match
+    for k = 0 to (Array.length runs / 2) - 1 do
+      ns :=
+        !ns
+        + read_run t vma ~pos:(Array.unsafe_get runs (2 * k))
+            ~len:(Array.unsafe_get runs ((2 * k) + 1))
+            "read_runs"
+    done
+  with
+  | () -> Account.charge acct !ns
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Account.charge acct !ns;
+      Printexc.raise_with_backtrace e bt
 
 (* Retained scalar reference implementations: the differential property
    tests and the mem bench group compare the word kernels against these. *)
@@ -396,24 +473,38 @@ let poke (vma : Vma.t) i v =
   Bitmap.set vma.Vma.soft_dirty i true;
   Bitmap.set vma.Vma.cow_pending i false
 
-(* Bulk [poke]: one blit plus three word-batched range ops. Same
-   per-page effect (data set, present + soft-dirty, pending CoW
-   cancelled, untouched untouched). *)
+(* The bitmap side of a kernel write over [pos, pos+len): present and
+   soft-dirty set, pending CoW cancelled, untouched left alone — one
+   pass over the run's words for all three maps. *)
+let mark_poked (vma : Vma.t) ~pos ~len =
+  let present = vma.Vma.present
+  and sd = vma.Vma.soft_dirty
+  and cowp = vma.Vma.cow_pending in
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let wi = !i / Bitmap.bits_per_word in
+    let b = !i mod Bitmap.bits_per_word in
+    let n = min (stop - !i) (Bitmap.bits_per_word - b) in
+    let m = Bitmap.mask ~pos:b ~len:n in
+    Bitmap.or_word present wi m;
+    Bitmap.or_word sd wi m;
+    Bitmap.andnot_word cowp wi m;
+    i := !i + n
+  done
+
+(* Bulk [poke]: one blit plus one word pass over the bitmaps. *)
 let poke_range (vma : Vma.t) ~pos ~len ~src ~src_pos =
   check_range vma ~pos ~len "poke_range";
   if src_pos < 0 || src_pos + len > Array.length src then
     invalid_arg "Address_space.poke_range: source range out of bounds";
   Gh_sim.Words.blit src src_pos vma.Vma.data pos len;
-  Bitmap.set_range vma.Vma.present ~pos ~len true;
-  Bitmap.set_range vma.Vma.soft_dirty ~pos ~len true;
-  Bitmap.set_range vma.Vma.cow_pending ~pos ~len false
+  mark_poked vma ~pos ~len
 
 let zero_range (vma : Vma.t) ~pos ~len =
   check_range vma ~pos ~len "zero_range";
   Gh_sim.Words.fill vma.Vma.data pos len 0;
-  Bitmap.set_range vma.Vma.present ~pos ~len true;
-  Bitmap.set_range vma.Vma.soft_dirty ~pos ~len true;
-  Bitmap.set_range vma.Vma.cow_pending ~pos ~len false
+  mark_poked vma ~pos ~len
 
 (* Nonzero-length VMAs have monotone end addresses (sorted and
    non-overlapping), so the predecessor walk below can stop at the first

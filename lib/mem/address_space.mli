@@ -3,7 +3,7 @@
     Two kinds of entry point, mirroring who pays for what on real hardware:
 
     - {b Function-side accessors} ([read_page], [write_page], [dirty_range],
-      [read_range]) charge the given account for the memory access {e and}
+      [read_range], [dirty_runs], [read_runs]) charge the given account for the memory access {e and}
       any page faults it triggers — demand-zero on first touch, CoW copy
       in forked children, the soft-dirty re-arm fault after a [clear_refs],
       or the userfaultfd round trip under Uffd tracking. These are the
@@ -69,6 +69,22 @@ val dirty_range : t -> Gh_sim.Account.t -> Vma.t -> pos:int -> len:int -> value:
 val read_range : t -> Gh_sim.Account.t -> Vma.t -> pos:int -> len:int -> unit
 (** Touch (read) [len] consecutive pages. *)
 
+val dirty_runs :
+  t -> Gh_sim.Account.t -> Vma.t -> runs:int array -> skip:(int -> bool) -> value:int -> unit
+(** [dirty_runs t acct vma ~runs ~skip ~value] is [dirty_range] over each
+    run [k] of [runs] — packed pairs [(runs.(2k), runs.(2k+1))] as
+    [(pos, len)] — in order, leaving out every run for which [skip k]
+    holds, with the summed cost charged once. Each run is checked,
+    classified and rounded to [fault_gran] blocks exactly as its own
+    [dirty_range] call would be, and allocates nothing. If a run raises,
+    the runs before it stay applied and charged.
+    @raise Invalid_argument on an odd-length [runs] or a run out of
+    bounds. *)
+
+val read_runs : t -> Gh_sim.Account.t -> Vma.t -> runs:int array -> unit
+(** [read_range] over each packed run of [runs], in order, with one
+    summed charge; the same contract as {!dirty_runs}. *)
+
 (** Scalar reference implementations of the bulk accessors, retained for
     the differential property tests and the mem bench group. Identical
     observable behavior (bitmaps, data, fault counts, charged ns) to the
@@ -94,8 +110,8 @@ val poke : Vma.t -> int -> int -> unit
 
 val poke_range : Vma.t -> pos:int -> len:int -> src:int array -> src_pos:int -> unit
 (** Bulk [poke]: blit [len] words from [src] starting at [src_pos] into
-    pages [pos, pos+len), with word-batched bitmap updates. The restore
-    copy backend. *)
+    pages [pos, pos+len), then one word-batched pass over the bitmaps.
+    The restore copy backend; allocates nothing. *)
 
 val zero_range : Vma.t -> pos:int -> len:int -> unit
 (** Bulk [poke] of zeros: the restore stack-zeroing backend. *)

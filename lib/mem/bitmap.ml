@@ -56,7 +56,9 @@ let resize t len =
   clamp_tail nt;
   nt
 
-let word t i = if i < Array.length t.words then Array.unsafe_get t.words i else 0
+let word t i =
+  if i < 0 then invalid_arg "Bitmap.word: negative word index";
+  if i < Array.length t.words then Array.unsafe_get t.words i else 0
 
 let word_count t = Array.length t.words
 

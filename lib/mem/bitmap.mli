@@ -48,8 +48,9 @@ val ctz : int -> int
 val word : t -> int -> int
 (** [word t i] is the [i]-th packed word — bits
     [i * bits_per_word .. (i+1) * bits_per_word - 1] — or [0] when [i] is
-    past the last word. For word-batched consumers (the restore engine's
-    classifier); bits past [length t] are always zero. *)
+    past the last word. For word-batched consumers (the bulk page kernels,
+    the restore engine's classifier); bits past [length t] are always
+    zero. @raise Invalid_argument if [i < 0]. *)
 
 val word_count : t -> int
 (** Number of packed words backing the map. *)

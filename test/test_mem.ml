@@ -209,6 +209,17 @@ let test_bitmap_word_ops () =
     (Invalid_argument "Bitmap.or_word: word index out of bounds") (fun () ->
       Bitmap.or_word b 2 1)
 
+(* [word] reads zero past the last word; a negative index is a caller
+   bug and raises. *)
+let test_bitmap_word_index () =
+  let b = Bitmap.create 100 in
+  Bitmap.fill b true;
+  check_int "first word" (-1) (Bitmap.word b 0);
+  check_int "past the end" 0 (Bitmap.word b 2);
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "Bitmap.word: negative word index") (fun () ->
+      ignore (Bitmap.word b (-1)))
+
 (* -- Prot -- *)
 
 let test_prot () =
@@ -586,6 +597,54 @@ let test_poke_and_zero_range () =
     (Invalid_argument "Address_space.poke_range: source range out of bounds") (fun () ->
       Address_space.poke_range heap ~pos:0 ~len:8 ~src ~src_pos:4)
 
+(* A batch is its runs applied one [dirty_range] at a time: when a run is
+   out of bounds, the runs before it stay written and charged, and the
+   bad run and those after it are not applied. *)
+let test_bulk_runs_partial_failure () =
+  let m1 = fresh () and m2 = fresh () in
+  let h1 = Address_space.heap m1 and h2 = Address_space.heap m2 in
+  let a1 = acct () and a2 = acct () in
+  let n = h1.Vma.n_pages in
+  let runs = [| 0; 4; 10; 3; n - 2; 5; 20; 2 |] in
+  Alcotest.check_raises "bad run raises"
+    (Invalid_argument "Address_space.dirty_runs: range out of bounds") (fun () ->
+      Address_space.dirty_runs m1 a1 h1 ~runs ~skip:(fun k -> k = 1) ~value:6);
+  Address_space.dirty_range m2 a2 h2 ~pos:0 ~len:4 ~value:6;
+  check_vma_eq "only the runs before the bad one" (snapshot_vma h2) h1;
+  check_int "and they are charged" (Account.total a2) (Account.total a1);
+  Alcotest.check_raises "odd-length runs"
+    (Invalid_argument "Address_space.read_runs: odd-length run array") (fun () ->
+      Address_space.read_runs m1 a1 h1 ~runs:[| 0; 4; 8 |])
+
+(* The batched kernels allocate nothing per run: a sweep of [dirty_runs],
+   [read_runs] and [poke_range] over 600 six-page runs of a warm 50K-page
+   heap adds exactly as many minor words as the same sweep over 60. Runs
+   sit 80 pages apart, so some straddle bitmap-word seams. *)
+let test_bulk_runs_allocation_free () =
+  let n = 50_000 in
+  let m = Address_space.create ~heap_pages:n ~cost () in
+  let heap = Address_space.heap m in
+  let a = acct () in
+  Address_space.dirty_range m a heap ~pos:0 ~len:n ~value:1;
+  Address_space.clear_refs m;
+  let runs count = Array.init (2 * count) (fun j -> if j land 1 = 0 then j / 2 * 80 else 6) in
+  let src = Array.make 6 7 in
+  let no_skip _ = false in
+  let sweep runs =
+    let before = Gc.minor_words () in
+    Address_space.dirty_runs m a heap ~runs ~skip:no_skip ~value:3;
+    Address_space.read_runs m a heap ~runs;
+    for k = 0 to (Array.length runs / 2) - 1 do
+      Address_space.poke_range heap ~pos:runs.(2 * k) ~len:runs.((2 * k) + 1) ~src ~src_pos:0
+    done;
+    Gc.minor_words () -. before
+  in
+  let r60 = runs 60 and r600 = runs 600 in
+  ignore (sweep r600);
+  let w60 = sweep r60 in
+  let w600 = sweep r600 in
+  Alcotest.(check (float 0.0)) "minor words independent of the run count" w60 w600
+
 (* -- VMA index -- *)
 
 let test_find_after_unmap_is_none () =
@@ -689,6 +748,7 @@ let () =
           Alcotest.test_case "set_range" `Quick test_bitmap_set_range;
           Alcotest.test_case "bounds checked" `Quick test_bitmap_bounds_checked;
           Alcotest.test_case "word-level ops" `Quick test_bitmap_word_ops;
+          Alcotest.test_case "word index" `Quick test_bitmap_word_index;
           QCheck_alcotest.to_alcotest bitmap_differential;
         ] );
       ("prot", [ Alcotest.test_case "flags" `Quick test_prot ]);
@@ -719,6 +779,9 @@ let () =
             test_bulk_dirty_with_hook_matches_scalar;
           Alcotest.test_case "len=0 is free" `Quick test_bulk_zero_len_is_free;
           Alcotest.test_case "poke_range / zero_range" `Quick test_poke_and_zero_range;
+          Alcotest.test_case "runs stop at a bad run" `Quick test_bulk_runs_partial_failure;
+          Alcotest.test_case "runs allocate nothing per run" `Quick
+            test_bulk_runs_allocation_free;
         ] );
       ( "faults",
         [

@@ -389,31 +389,92 @@ let dirty_range_sets_exactly =
 (* Differential: the word-batched bulk kernels vs the scalar reference. *)
 (* ------------------------------------------------------------------ *)
 
-(* Two address spaces are built identically from a seed (random resident
-   stripes, madvise holes, an extra anon mapping, optional CoW arming and
-   fork-style untouched marks), then the same accesses run batched on one
-   and through [As.Scalar] on the other. Bitmaps, data, charged ns, and
-   CoW-salvage hook logs must be identical. *)
+(* Three address spaces are built identically from a seed (random
+   resident stripes, madvise holes, an extra anon mapping, optional CoW
+   arming and fork-style untouched marks, a huge-page fault granularity
+   drawn per VMA), then the same accesses run three ways: one
+   [dirty_range]/[read_range] call per op, through [As.Scalar] per op,
+   and batched — each maximal group of consecutive ops on one VMA (reads,
+   or writes of one value) as a single [dirty_runs]/[read_runs] call.
+   Bitmaps, data, charged ns, and CoW-salvage hook logs must be identical
+   in all three. Skipped writes are left out of the first two arms and
+   passed to the batched one with [skip] set. Each op's position is
+   fresh, adjacent to the previous op's run, overlapping it, or just
+   below a bitmap-word seam. *)
 
-let print_bulk (seed, arm, hook, ops) =
-  Printf.sprintf "seed=%d arm=%b hook=%b ops=[%s]" seed arm hook
+type bulk_op = {
+  anon : bool;
+  read : bool;
+  place : int;  (* 0 fresh, 1 adjacent, 2 overlapping, 3 at a word seam *)
+  pos : int;
+  len : int;
+  value : int;
+  skipped : bool;
+}
+
+let print_bulk (seed, arm, hook, gran_heap, gran_anon, ops) =
+  Printf.sprintf "seed=%d arm=%b hook=%b gran=%d/%d ops=[%s]" seed arm hook gran_heap gran_anon
     (String.concat "; "
        (List.map
-          (fun (anon, rd, pos, len, v) ->
-            Printf.sprintf "%s %s pos=%d len=%d v=%d"
-              (if anon then "anon" else "heap")
-              (if rd then "read" else "write")
-              pos len v)
+          (fun o ->
+            Printf.sprintf "%s %s%s place=%d pos=%d len=%d v=%d"
+              (if o.anon then "anon" else "heap")
+              (if o.read then "read" else "write")
+              (if o.skipped then " (skipped)" else "")
+              o.place o.pos o.len o.value)
           ops))
 
 let bulk_gen =
   let open QCheck2.Gen in
-  let op = tup5 bool bool (int_bound 210) (int_bound 220) (int_range 1 1000) in
-  tup4 (int_bound 1_000_000) bool bool (list_size (int_range 1 25) op)
+  let gran = oneofl [ 1; 2; 7; 64; 512 ] in
+  (* Few distinct values, so consecutive writes often share one and batch. *)
+  let op =
+    map
+      (fun ((anon, read, place), (pos, len, value), skipped) ->
+        { anon; read; place; pos; len; value; skipped = skipped && not read })
+      (triple
+         (triple bool bool (int_bound 3))
+         (triple (int_bound 210) (int_bound 220) (int_range 1 3))
+         (frequencyl [ (7, false); (1, true) ]))
+  in
+  tup6 (int_bound 1_000_000) bool bool gran gran (list_size (int_range 1 25) op)
+
+(* Concrete (pos, len) for each op, in range of its VMA. *)
+let place_ops ~heap_pages ~anon_pages ops =
+  let bpw = Bitmap.bits_per_word in
+  let prev_pos = ref 0 and prev_len = ref 0 in
+  List.map
+    (fun o ->
+      let n = if o.anon then anon_pages else heap_pages in
+      let pos =
+        match o.place with
+        | 1 -> !prev_pos + !prev_len
+        | 2 -> !prev_pos + (!prev_len / 2)
+        | 3 -> (((o.pos / bpw) + 1) * bpw) - 1 - (o.pos mod 4)
+        | _ -> o.pos
+      in
+      let pos = if n = 0 then 0 else pos mod n in
+      let len = min o.len (n - pos) in
+      prev_pos := pos;
+      prev_len := len;
+      { o with pos; len })
+    ops
+
+(* Maximal runs of consecutive ops that one batched call can apply. *)
+let rec batch_groups = function
+  | [] -> []
+  | o :: rest ->
+      let same o' = o'.anon = o.anon && o'.read = o.read && (o.read || o'.value = o.value) in
+      let rec take acc = function
+        | o' :: rest when same o' -> take (o' :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let group, rest = take [ o ] rest in
+      group :: batch_groups rest
 
 let bulk_matches_scalar =
   QCheck2.Test.make ~name:"bulk kernels match the scalar reference" ~count:300
-    ~print:print_bulk bulk_gen (fun (seed, arm, hook, ops) ->
+    ~print:print_bulk bulk_gen (fun (seed, arm, hook, gran_heap, gran_anon, ops) ->
       let build () =
         let rng = Rng.create seed in
         let m = As.create ~heap_pages:200 ~stack_pages:32 ~cost () in
@@ -438,33 +499,41 @@ let bulk_matches_scalar =
         for _ = 1 to Rng.int rng 8 do
           Bitmap.set heap.Vma.untouched (Rng.int rng 200) true
         done;
-        (m, heap, anon)
+        heap.Vma.fault_gran <- gran_heap;
+        anon.Vma.fault_gran <- gran_anon;
+        let log = ref [] in
+        if hook then
+          As.set_cow_hook m (Some (fun v i -> log := (v.Vma.id, i, As.peek v i) :: !log));
+        (m, heap, anon, log, Account.create ())
       in
-      let m1, h1, an1 = build () in
-      let m2, h2, an2 = build () in
-      let log1 = ref [] and log2 = ref [] in
-      if hook then begin
-        As.set_cow_hook m1
-          (Some (fun v i -> log1 := (v.Vma.id, i, As.peek v i) :: !log1));
-        As.set_cow_hook m2
-          (Some (fun v i -> log2 := (v.Vma.id, i, As.peek v i) :: !log2))
-      end;
-      let a1 = Account.create () and a2 = Account.create () in
+      let ((m1, h1, an1, _, a1) as s1) = build () in
+      let ((m2, h2, an2, _, a2) as s2) = build () in
+      let ((m3, h3, an3, _, a3) as s3) = build () in
+      let ops = place_ops ~heap_pages:h1.Vma.n_pages ~anon_pages:an1.Vma.n_pages ops in
       List.iter
-        (fun (use_anon, is_read, pos, len, value) ->
-          let v1 = if use_anon then an1 else h1 in
-          let v2 = if use_anon then an2 else h2 in
-          let pos = if v1.Vma.n_pages = 0 then 0 else pos mod v1.Vma.n_pages in
-          let len = min len (v1.Vma.n_pages - pos) in
-          if is_read then begin
-            As.read_range m1 a1 v1 ~pos ~len;
-            As.Scalar.read_range m2 a2 v2 ~pos ~len
-          end
-          else begin
-            As.dirty_range m1 a1 v1 ~pos ~len ~value;
-            As.Scalar.dirty_range m2 a2 v2 ~pos ~len ~value
+        (fun o ->
+          if not o.skipped then begin
+            let v1 = if o.anon then an1 else h1 in
+            let v2 = if o.anon then an2 else h2 in
+            if o.read then begin
+              As.read_range m1 a1 v1 ~pos:o.pos ~len:o.len;
+              As.Scalar.read_range m2 a2 v2 ~pos:o.pos ~len:o.len
+            end
+            else begin
+              As.dirty_range m1 a1 v1 ~pos:o.pos ~len:o.len ~value:o.value;
+              As.Scalar.dirty_range m2 a2 v2 ~pos:o.pos ~len:o.len ~value:o.value
+            end
           end)
         ops;
+      List.iter
+        (fun group ->
+          let o = List.hd group in
+          let v3 = if o.anon then an3 else h3 in
+          let runs = Array.of_list (List.concat_map (fun o -> [ o.pos; o.len ]) group) in
+          let skipped = Array.of_list (List.map (fun o -> o.skipped) group) in
+          if o.read then As.read_runs m3 a3 v3 ~runs
+          else As.dirty_runs m3 a3 v3 ~runs ~skip:(fun k -> skipped.(k)) ~value:o.value)
+        (batch_groups ops);
       let vma_eq (x : Vma.t) (y : Vma.t) =
         x.Vma.start_addr = y.Vma.start_addr
         && x.Vma.n_pages = y.Vma.n_pages
@@ -474,9 +543,12 @@ let bulk_matches_scalar =
         && Bitmap.equal x.Vma.cow_pending y.Vma.cow_pending
         && Bitmap.equal x.Vma.untouched y.Vma.untouched
       in
-      List.for_all2 vma_eq (As.vmas m1) (As.vmas m2)
-      && Account.total a1 = Account.total a2
-      && !log1 = !log2)
+      let same (m, _, _, log, a) (m', _, _, log', a') =
+        List.for_all2 vma_eq (As.vmas m) (As.vmas m')
+        && Account.total a = Account.total a'
+        && !log = !log'
+      in
+      same s1 s2 && same s3 s2)
 
 (* The zero-elided snapshot copy stores exactly the source contents, with
    a [zeros] map that marks precisely the zero pages — on any layout a
