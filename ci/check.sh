@@ -87,6 +87,19 @@ md5sum /tmp/gh_ci_runall_quick.txt | awk '{print $1}' \
 test -s /tmp/gh_ci_series.txt
 test -s /tmp/gh_ci_slo.json
 
+# Byte-identity gates for the Node/Cluster/Admission paths: quick
+# `run all` never builds a Node, so the extras sweep and the stdout of
+# the cluster, SLO and overload smoke sweeps at seed 42 are pinned too.
+# Regenerate these files only with an intentional, reviewed behavior
+# change.
+dune exec bin/gh_bench.exe -- run extras --seed 42 --profile quick \
+  > /tmp/gh_ci_runall_extras.txt
+md5sum /tmp/gh_ci_runall_extras.txt | awk '{print $1}' | diff - ci/runall_extras.md5
+for sweep in cluster slo overload; do
+  dune exec bin/gh_bench.exe -- $sweep --smoke --seed 42 > /tmp/gh_ci_${sweep}_smoke.txt
+  md5sum /tmp/gh_ci_${sweep}_smoke.txt | awk '{print $1}' | diff - ci/${sweep}_smoke.md5
+done
+
 # Allocation gate: a serial quick sweep allocates a deterministic number
 # of words, so a rise over the committed counts in
 # ci/runall_quick_alloc.txt is an allocation regression. Promotion into

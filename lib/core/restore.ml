@@ -202,7 +202,7 @@ let run acct (snapshot : Snapshot.t) (p : Process.t) =
         (dirty, sets)
   in
   let scan_ns = Account.since acct m in
-  let dirty_by_id = Hashtbl.create 64 in
+  let dirty_by_id = Hashtbl.create (As.vma_count p.Process.mem) in
   List.iter (fun ((v : Vma.t), d) -> Hashtbl.replace dirty_by_id v.Vma.id d) dirty_list;
   let dirty_of (v : Vma.t) =
     match Hashtbl.find_opt dirty_by_id v.Vma.id with Some d -> d | None -> empty_dirty

@@ -8,9 +8,11 @@
    is merely still queued.
 
    The [unbounded] configuration (capacity = max_int, Fifo) is the
-   compatibility default: admit always succeeds, take is FIFO, and no
-   expiry purge runs for requests without deadlines, so pre-existing
-   experiments are bit-identical. *)
+   compatibility default: admit always succeeds and take is FIFO, so
+   pre-existing experiments are bit-identical. The queue counts its
+   entries that carry a deadline; while that count is 0 nothing can
+   expire, and the purge that every admit and take starts with returns
+   at once. *)
 
 module Time_ns = Gh_sim.Time_ns
 module Trace = Gh_sim.Trace
@@ -64,6 +66,7 @@ type 'a t = {
   mutable items : 'a entry list;
   mutable next_seq : int;
   mutable length : int;
+  mutable deadlined : int;  (* queued entries whose request has a deadline *)
   mutable high_water : int;
   mutable shed : int;
   mutable expired : int;
@@ -78,6 +81,7 @@ let create ?trace ?(label = "queue") ?(on_shed = fun _ _ _ -> ()) cfg =
     items = [];
     next_seq = 0;
     length = 0;
+    deadlined = 0;
     high_water = 0;
     shed = 0;
     expired = 0;
@@ -102,23 +106,31 @@ let drop t ~now reason e =
 (* Shed every queued entry whose deadline has passed: none of them can
    complete in time, so spending a core (or a restore) on them is waste. *)
 let purge_expired t ~now =
-  if t.length > 0 then begin
+  if t.deadlined > 0 then begin
     let live, dead = List.partition (fun e -> not (Request.expired e.req ~now)) t.items in
     if dead <> [] then begin
       t.items <- live;
+      (* Only entries with a deadline expire. *)
+      t.deadlined <- t.deadlined - List.length dead;
       List.iter (fun e -> drop t ~now Expired e) dead
     end
   end
+
+let has_deadline e = Option.is_some e.req.Request.deadline
+let forget_deadline t e = if has_deadline e then t.deadlined <- t.deadlined - 1
 
 let append t req payload =
   let e = { req; payload; seq = t.next_seq } in
   t.next_seq <- t.next_seq + 1;
   t.items <- t.items @ [ e ];
   t.length <- t.length + 1;
+  if has_deadline e then t.deadlined <- t.deadlined + 1;
   if t.length > t.high_water then t.high_water <- t.length;
   e
 
-let remove t victim = t.items <- List.filter (fun e -> e.seq <> victim.seq) t.items
+let remove t victim =
+  t.items <- List.filter (fun e -> e.seq <> victim.seq) t.items;
+  forget_deadline t victim
 
 (* The queue-full victim under each policy. [newcomer] is already appended,
    so the choice ranges over the whole over-full queue; returning the
@@ -194,6 +206,7 @@ let take t ~now =
       | e :: rest ->
           t.items <- rest;
           t.length <- t.length - 1;
+          forget_deadline t e;
           Some (e.req, e.payload))
   | Lifo -> (
       match List.rev t.items with
@@ -201,6 +214,7 @@ let take t ~now =
       | e :: rest_rev ->
           t.items <- List.rev rest_rev;
           t.length <- t.length - 1;
+          forget_deadline t e;
           Some (e.req, e.payload))
 
 (* Silent removal for hedge-loser cancellation: the request was (or will
@@ -217,6 +231,7 @@ let cancel t ~req_id =
 let shed_all ?(now = 0) t reason =
   let dead = t.items in
   t.items <- [];
+  t.deadlined <- 0;
   List.iter (fun e -> drop t ~now reason e) dead
 
 let iter t f = List.iter (fun e -> f e.req e.payload) t.items

@@ -127,7 +127,11 @@ type t = {
   rng : Rng.t option;
   make_strategy : string -> Function_model.spec -> Strategy_intf.t;
   members : member array;
-  mutable fns : (string * Function_model.spec) list;  (* newest first *)
+  (* Newest first: [fresh_node] registers in reverse, and that order fixes
+     a new node's pool-table order. [names] holds the same names for
+     lookup. *)
+  mutable fns : (string * Function_model.spec) list;
+  names : (string, unit) Hashtbl.t;
   requests : (int, rstate) Hashtbl.t;
   mutable rr : int;  (* round-robin cursor *)
   mutable submitted : int;
@@ -652,6 +656,7 @@ let create ?trace ?spans ?series ?(slos = []) ?recorder ?metrics ?rng
       make_strategy;
       members;
       fns = [];
+      names = Hashtbl.create 16;
       requests = Hashtbl.create 256;
       rr = 0;
       submitted = 0;
@@ -698,7 +703,8 @@ let create ?trace ?spans ?series ?(slos = []) ?recorder ?metrics ?rng
   t
 
 let register t ~name spec =
-  if List.mem_assoc name t.fns then invalid_arg "Cluster.register: duplicate function";
+  if Hashtbl.mem t.names name then invalid_arg "Cluster.register: duplicate function";
+  Hashtbl.replace t.names name ();
   t.fns <- (name, spec) :: t.fns;
   Array.iter (fun m -> Node.register m.node ~name spec) t.members
 
@@ -707,7 +713,7 @@ let start t ~until =
   if first <= until then Engine.at t.engine ~time:first (tick t ~until)
 
 let submit t ~name req ~on_response =
-  if not (List.mem_assoc name t.fns) then raise Not_found;
+  if not (Hashtbl.mem t.names name) then raise Not_found;
   t.submitted <- t.submitted + 1;
   let now = Engine.now t.engine in
   let root =

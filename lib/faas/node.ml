@@ -7,6 +7,7 @@ module Rng = Gh_sim.Rng
 module Timeseries = Gh_sim.Timeseries
 module Slo = Gh_sim.Slo
 module Flight_recorder = Gh_sim.Flight_recorder
+module Bitmap = Gh_mem.Bitmap
 
 type config = {
   total_cores : int;
@@ -95,6 +96,7 @@ type pool = {
   scrubbed_blocks : Metrics.counter;  (* blocks the idle scrubber checked *)
   scrub_corruptions : Metrics.counter;  (* corruptions the scrubber caught *)
   attempts : (int, int) Hashtbl.t;  (* req id -> tries, recovery only *)
+  mutable rank : int;  (* index in [t.order]; valid once the order is built *)
 }
 
 type t = {
@@ -113,6 +115,12 @@ type t = {
   recorder : Flight_recorder.t option;
   make_strategy : string -> Function_model.spec -> Strategy_intf.t;
   pools : (string, pool) Hashtbl.t;
+  (* The backlog index behind the idle-core sweep (DESIGN §13): [order]
+     lists the pools in [Hashtbl.iter] order over [pools], and bit [r] of
+     [backlog] is set whenever [order.(r)]'s queue is non-empty. Both are
+     rebuilt at the first sweep after [register] changes the pool count. *)
+  mutable order : pool array;
+  mutable backlog : Bitmap.t;
   brownout : Brownout.t option;
   (* Node-wide gauges mirror the three mutable fields below (the source of
      truth for control decisions) into the registry. *)
@@ -143,6 +151,8 @@ let create ?trace ?spans ?metrics ?(metrics_prefix = "") ?rng ?series ?(slos = [
     recorder;
     make_strategy;
     pools = Hashtbl.create 16;
+    order = [||];
+    backlog = Bitmap.create 0;
     brownout = Option.map (fun cfg -> Brownout.create ?trace cfg) config.brownout;
     g_used_mb = g "used_mb";
     g_high_water_mb = g "high_water_mb";
@@ -249,6 +259,7 @@ let register t ~name spec =
       scrubbed_blocks = c "scrubbed_blocks";
       scrub_corruptions = c "scrub_corruptions";
       attempts = Hashtbl.create 16;
+      rank = -1;
     }
   in
   (pool_on_shed :=
@@ -286,6 +297,23 @@ let apply_brownout t b =
         (fun s -> (Container.strategy s.container).Strategy_intf.degrade degraded)
         pool.slots)
     t.pools
+
+(* Ranks are positions in [Hashtbl.iter] order, which a resize reshuffles,
+   so the index is rebuilt whole, from the queues themselves. Until then
+   [mark_backlog] has nothing to keep current. *)
+let rebuild_order t =
+  let pools = ref [] in
+  Hashtbl.iter (fun _ pool -> pools := pool :: !pools) t.pools;
+  t.order <- Array.of_list (List.rev !pools);
+  t.backlog <- Bitmap.create (Array.length t.order);
+  Array.iteri
+    (fun rank pool ->
+      pool.rank <- rank;
+      if not (Admission.is_empty pool.queue) then Bitmap.set t.backlog rank true)
+    t.order
+
+let mark_backlog t pool =
+  if Array.length t.order = Hashtbl.length t.pools then Bitmap.set t.backlog pool.rank true
 
 let rec dispatch t pool slot pending =
   (match t.brownout with
@@ -427,10 +455,11 @@ and on_slot_failure t recovery pool (_slot : slot) failure =
             let delay = Backoff.delay r.Invoker.retry_backoff ?rng:t.rng ~attempt:tries in
             Engine.schedule t.engine ~after:delay (fun () ->
                 let now = Engine.now t.engine in
-                if
-                  Admission.admit pool.queue ~now req
-                    { req; submitted = now; on_complete = None }
-                then
+                let admitted =
+                  Admission.admit pool.queue ~now req { req; submitted = now; on_complete = None }
+                in
+                mark_backlog t pool;
+                if admitted then
                   match t.spans with
                   | Some sp ->
                       Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"node-queue"
@@ -543,7 +572,28 @@ and pump_pool t pool =
         end
   done
 
-and pump_other_pools t = Hashtbl.iter (fun _ pool -> pump_pool t pool) t.pools
+(* Pump every pool with queued work, in [Hashtbl.iter] order over
+   [t.pools]: that order decides which pool gets a freed core or freed
+   memory first, and the md5 gates pin it (DESIGN §13). Only backlogged
+   pools are visited: the words are read live and scanned upward with
+   ctz, so a pool admitted mid-sweep at a later rank is still reached. *)
+and pump_other_pools t =
+  if Array.length t.order <> Hashtbl.length t.pools then rebuild_order t;
+  let bpw = Bitmap.bits_per_word in
+  let rec scan w from =
+    if w < Bitmap.word_count t.backlog then begin
+      let bits = Bitmap.word t.backlog w land (-1 lsl from) in
+      if bits = 0 then scan (w + 1) 0
+      else begin
+        let b = Bitmap.ctz bits in
+        let pool = t.order.((w * bpw) + b) in
+        pump_pool t pool;
+        if Admission.is_empty pool.queue then Bitmap.andnot_word t.backlog w (1 lsl b);
+        if b + 1 < bpw then scan w (b + 1) else scan (w + 1) 0
+      end
+    end
+  in
+  scan 0 0
 
 let submit ?on_complete t ~name req =
   let pool =
@@ -575,7 +625,9 @@ let submit ?on_complete t ~name req =
       | None -> ());
       t.on_shed Admission.Brownout req
   | _ ->
-      if Admission.admit pool.queue ~now req { req; submitted = now; on_complete } then begin
+      let admitted = Admission.admit pool.queue ~now req { req; submitted = now; on_complete } in
+      mark_backlog t pool;
+      if admitted then begin
         (match t.spans with
         | Some sp ->
             Span.phase_start sp ~at:now ~req_id:req.Request.id ~name:"node-queue" ~cat:"queue"

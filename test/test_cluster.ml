@@ -202,6 +202,32 @@ let cluster_config ?(response_timeout = Time_ns.of_ms 50.0) ~n_nodes ~failover ~
     breaker = Breaker.default_config;
   }
 
+(* -- Function registry -- *)
+
+let test_register_and_submit_names () =
+  let engine = Engine.create () in
+  let cluster =
+    Cluster.create engine
+      (cluster_config ~n_nodes:2 ~failover:false ~hedge_after:None ~max_attempts:1
+         ~admission:Admission.unbounded ())
+      ~make_strategy:(fun name _ -> scripted ~service_ns:(Time_ns.of_ms 1.0) name)
+  in
+  Cluster.register cluster ~name:"fn" spec;
+  Cluster.register cluster ~name:"other" spec;
+  Alcotest.check_raises "duplicate registration"
+    (Invalid_argument "Cluster.register: duplicate function") (fun () ->
+      Cluster.register cluster ~name:"fn" spec);
+  Alcotest.check_raises "unknown function" Not_found (fun () ->
+      Cluster.submit cluster ~name:"ghost"
+        (Request.make ~id:1 ~principal:alice ())
+        ~on_response:(fun _ _ -> ()));
+  let served = ref 0 in
+  Cluster.submit cluster ~name:"other"
+    (Request.make ~id:2 ~principal:alice ())
+    ~on_response:(fun _ _ -> incr served);
+  Engine.run_all engine;
+  check_int "a registered name is served" 1 !served
+
 (* -- Deterministic nth-crash failover: one scheduled crash, one retry -- *)
 
 let crash_failover_run () =
@@ -478,6 +504,8 @@ let () =
         ] );
       ( "node",
         [ Alcotest.test_case "cancel leaves no residue" `Quick test_node_cancel ] );
+      ( "registry",
+        [ Alcotest.test_case "duplicate and unknown names" `Quick test_register_and_submit_names ] );
       ( "failover",
         [
           Alcotest.test_case "nth-crash failover" `Quick test_nth_crash_failover;

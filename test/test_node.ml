@@ -38,14 +38,14 @@ let strategy ~exec_ms ~init_ms ~buffer_pages =
 let spec ~mapped_mb =
   { Fm.default_spec with Fm.name = "node-fn"; mapped_pages = mapped_mb * 256 }
 
-let make_node ?(cores = 2) ?(memory_mb = 64) ?(idle_timeout_s = 5.0) ?(admission = Gh_faas.Admission.unbounded) ?brownout ?trace engine ~strategy_of =
+let make_node ?(cores = 2) ?(memory_mb = 64) ?(idle_timeout_s = 5.0) ?(admission = Gh_faas.Admission.unbounded) ?brownout ?recovery ?trace engine ~strategy_of =
   Node.create ?trace engine
     {
       Node.total_cores = cores;
       memory_mb;
       idle_timeout = Time_ns.of_sec idle_timeout_s;
       dispatch_ns = 0;
-      recovery = None;
+      recovery;
       admission;
       brownout;
       scrub = None;
@@ -212,6 +212,101 @@ let test_unknown_function () =
   Alcotest.check_raises "unknown" Not_found (fun () ->
       Node.submit node ~name:"ghost" (Request.make ~id:1 ~principal:alice ()))
 
+(* -- Idle-core sweep order -- *)
+
+(* When a core frees up with its own pool's queue empty, or an eviction or
+   retirement frees memory, the node sweeps the other pools for queued
+   work. Which pool gets the core first is part of the simulated
+   behaviour, so the whole dispatch sequence of a crowded node is pinned
+   against a committed file. 120 functions put pools on both sides of a
+   63-bit word; 2 cores and room for 12 one-MB containers keep most pools
+   queued behind cold starts that only an eviction can unblock. Every
+   fifth request carries a deadline, so some expire in the queue. With
+   [hangs], the first try of every sixth request hangs until a 20 ms
+   timeout, and its retry is re-admitted to a queue after the backoff. *)
+let expected_path file = if Sys.file_exists file then file else Filename.concat "test" file
+
+let sweep_order_run ~hangs () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let tried = Hashtbl.create 64 in
+  let strategy_of name _ =
+    let exec_ms = float_of_int (1 + (Hashtbl.hash name mod 7)) in
+    let s = strategy ~exec_ms ~init_ms:3.0 ~buffer_pages:0 in
+    {
+      s with
+      Intf.invoke =
+        (fun req ->
+          let id = req.Request.id in
+          log := Printf.sprintf "%d %s %d" (Engine.now engine) name id :: !log;
+          let first_try = not (Hashtbl.mem tried id) in
+          Hashtbl.replace tried id ();
+          if hangs && first_try && id mod 6 = 0 then
+            { (s.Intf.invoke req) with Intf.outcome = Intf.Hung }
+          else s.Intf.invoke req);
+    }
+  in
+  let recovery =
+    if hangs then
+      Some
+        {
+          Gh_faas.Invoker.default_recovery with
+          Gh_faas.Invoker.container =
+            {
+              Gh_faas.Container.default_recovery with
+              Gh_faas.Container.timeout_ns = Some (Time_ns.of_ms 20.0);
+            };
+        }
+    else None
+  in
+  let node =
+    make_node engine ~cores:2 ~memory_mb:12 ~idle_timeout_s:0.2 ?recovery ~strategy_of
+  in
+  let n_fns = 120 in
+  let fn i = Printf.sprintf "f%03d" i in
+  for i = 0 to n_fns - 1 do
+    Node.register node ~name:(fn i) (spec ~mapped_mb:1)
+  done;
+  let next_id = ref 0 in
+  for burst = 0 to 5 do
+    Engine.schedule engine
+      ~after:(burst * Time_ns.of_ms 450.0)
+      (fun () ->
+        for j = 0 to 39 do
+          let name = fn (((burst * 37) + (j * 53)) mod n_fns) in
+          for _ = 1 to 1 + (j mod 2) do
+            incr next_id;
+            let deadline =
+              if !next_id mod 5 = 0 then Some (Engine.now engine + Time_ns.of_ms 30.0)
+              else None
+            in
+            Node.submit node ~name (Request.make ~id:!next_id ~principal:alice ?deadline ())
+          done
+        done)
+  done;
+  Engine.run_all engine;
+  let total f = List.fold_left (fun n s -> n + f s) 0 (Node.stats node) in
+  let completed = total (fun s -> s.Node.completed) in
+  check_int "every request served or expired" !next_id (completed + Node.total_expired node);
+  check_bool "some requests expired in the queue" true (Node.total_expired node > 0);
+  check_bool "hangs timed out" hangs (total (fun s -> s.Node.timeouts) > 0);
+  check_int "every container evicted" 0 (Node.memory_used_mb node);
+  List.rev !log
+
+let check_sweep_order ~hangs file () =
+  let got = sweep_order_run ~hangs () in
+  let expected = In_channel.with_open_text (expected_path file) In_channel.input_all in
+  let expected = String.split_on_char '\n' expected |> List.filter (( <> ) "") in
+  let rec first_diff i = function
+    | e :: es, g :: gs -> if e = g then first_diff (i + 1) (es, gs) else Some (i, e, g)
+    | [], [] -> None
+    | e :: _, [] -> Some (i, e, "<end>")
+    | [], g :: _ -> Some (i, "<end>", g)
+  in
+  match first_diff 0 (expected, got) with
+  | None -> check_int "dispatches" (List.length expected) (List.length got)
+  | Some (i, e, g) -> Alcotest.failf "dispatch %d: expected %S, got %S" i e g
+
 (* -- Tenant experiment -- *)
 
 let test_tenant_experiment_shape () =
@@ -254,6 +349,13 @@ let () =
           Alcotest.test_case "reuse resets eviction clock" `Quick test_reuse_resets_eviction_clock;
           Alcotest.test_case "separate pools" `Quick test_functions_isolated_pools;
           Alcotest.test_case "unknown function" `Quick test_unknown_function;
+        ] );
+      ( "sweep-order",
+        [
+          Alcotest.test_case "pinned dispatch sequence" `Quick
+            (check_sweep_order ~hangs:false "node_sweep_order.expected");
+          Alcotest.test_case "pinned with hang retries" `Quick
+            (check_sweep_order ~hangs:true "node_sweep_retry_order.expected");
         ] );
       ("tenant-exp", [ Alcotest.test_case "shape" `Quick test_tenant_experiment_shape ]);
     ]

@@ -122,6 +122,179 @@ let test_shed_all () =
   check_int "both shed" 2 (Admission.shed_count q);
   check_bool "brownout reason" true (List.mem (Admission.Brownout, 1) log.events)
 
+(* -- Admission against a reference queue -- *)
+
+(* The queue skips its expiry purge while no queued entry has a deadline.
+   The reference below purges by partition on every call and picks
+   capacity victims straight from each policy's definition; random
+   sequences of admits (with and without deadlines), takes, cancels,
+   [shed_all] and purges must behave the same on both. *)
+
+type op =
+  | Admit of int * int option  (* principal id, deadline offset from now *)
+  | Take
+  | Cancel of int  (* request id, possibly not queued *)
+  | Shed_all
+  | Purge
+  | Advance of int
+
+type ref_queue = {
+  policy : Admission.policy;
+  capacity : int;
+  mutable items : (Request.t * int) list;  (* oldest first, with arrival seq *)
+  mutable seq : int;
+  mutable r_shed : int;
+  mutable r_expired : int;
+  mutable r_log : (Admission.reason * int) list;
+}
+
+let ref_drop q reason (r, _) =
+  (match reason with
+  | Admission.Expired -> q.r_expired <- q.r_expired + 1
+  | _ -> q.r_shed <- q.r_shed + 1);
+  q.r_log <- (reason, r.Request.id) :: q.r_log
+
+let ref_purge q ~now =
+  let live, dead = List.partition (fun (r, _) -> not (Request.expired r ~now)) q.items in
+  q.items <- live;
+  List.iter (ref_drop q Admission.Expired) dead
+
+let ref_victim q =
+  let newest_of es =
+    List.fold_left (fun v e -> if snd e > snd v then e else v) (List.hd es) es
+  in
+  match q.policy with
+  | Admission.Fifo -> newest_of q.items
+  | Admission.Lifo -> List.hd q.items
+  | Admission.Edf_drop ->
+      let key (r, _) = Option.value ~default:max_int r.Request.deadline in
+      let earliest = List.fold_left (fun k e -> min k (key e)) max_int q.items in
+      newest_of (List.filter (fun e -> key e = earliest) q.items)
+  | Admission.Fair_share ->
+      let pid (r, _) = r.Request.principal.Principal.id in
+      let count id = List.length (List.filter (fun e -> pid e = id) q.items) in
+      let heaviest =
+        List.fold_left
+          (fun best e ->
+            let c = count (pid e) and cb = count best in
+            if c > cb || (c = cb && pid e < best) then pid e else best)
+          (pid (List.hd q.items)) q.items
+      in
+      newest_of (List.filter (fun e -> pid e = heaviest) q.items)
+
+let ref_admit q ~now r =
+  ref_purge q ~now;
+  if Request.expired r ~now then begin
+    q.r_expired <- q.r_expired + 1;
+    q.r_log <- (Admission.Expired, r.Request.id) :: q.r_log
+  end
+  else begin
+    q.items <- q.items @ [ (r, q.seq) ];
+    q.seq <- q.seq + 1;
+    if List.length q.items > q.capacity then begin
+      let victim = ref_victim q in
+      q.items <- List.filter (fun e -> e != victim) q.items;
+      ref_drop q Admission.Capacity victim
+    end
+  end
+
+let ref_take q ~now =
+  ref_purge q ~now;
+  match q.policy, q.items with
+  | _, [] -> None
+  | Admission.Lifo, items ->
+      let r, _ = List.nth items (List.length items - 1) in
+      q.items <- List.filteri (fun i _ -> i < List.length items - 1) items;
+      Some r.Request.id
+  | _, (r, _) :: rest ->
+      q.items <- rest;
+      Some r.Request.id
+
+let policies =
+  [ Admission.Fifo; Admission.Lifo; Admission.Edf_drop; Admission.Fair_share ]
+
+let admission_case_gen =
+  QCheck2.Gen.(
+    let op =
+      frequency
+        [
+          ( 5,
+            map2
+              (fun p d -> Admit (p, d))
+              (int_range 1 3)
+              (option ~ratio:0.4 (int_range 0 40)) );
+          (2, return Take);
+          (1, map (fun id -> Cancel id) (int_range 1 40));
+          (1, return Shed_all);
+          (1, return Purge);
+          (2, map (fun dt -> Advance dt) (int_range 1 25));
+        ]
+    in
+    triple (oneofl policies) (int_range 1 5) (list_size (int_range 0 60) op))
+
+let print_admission_case (policy, capacity, ops) =
+  let op = function
+    | Admit (p, None) -> Printf.sprintf "admit p%d" p
+    | Admit (p, Some d) -> Printf.sprintf "admit p%d +%d" p d
+    | Take -> "take"
+    | Cancel id -> Printf.sprintf "cancel %d" id
+    | Shed_all -> "shed-all"
+    | Purge -> "purge"
+    | Advance dt -> Printf.sprintf "advance %d" dt
+  in
+  Printf.sprintf "%s cap=%d [%s]" (Admission.policy_name policy) capacity
+    (String.concat "; " (List.map op ops))
+
+let admission_matches_reference =
+  QCheck2.Test.make ~name:"admission matches a partition-every-call reference" ~count:500
+    ~print:print_admission_case admission_case_gen (fun (policy, capacity, ops) ->
+      let log = ref [] in
+      let q =
+        Admission.create
+          ~on_shed:(fun reason r () -> log := (reason, r.Request.id) :: !log)
+          (Admission.bounded ~policy capacity)
+      in
+      let m =
+        { policy; capacity; items = []; seq = 0; r_shed = 0; r_expired = 0; r_log = [] }
+      in
+      let now = ref 0 and next_id = ref 0 and ok = ref true in
+      let principal id = Principal.make ~id ~name:(Printf.sprintf "p%d" id) in
+      List.iter
+        (fun op ->
+          (match op with
+          | Admit (p, d) ->
+              incr next_id;
+              let r =
+                Request.make ~id:!next_id ~principal:(principal p)
+                  ?deadline:(Option.map (fun d -> !now + d) d)
+                  ()
+              in
+              ignore (Admission.admit q ~now:!now r ());
+              ref_admit m ~now:!now r
+          | Take ->
+              let got = Option.map (fun (r, ()) -> r.Request.id) (Admission.take q ~now:!now) in
+              if got <> ref_take m ~now:!now then ok := false
+          | Cancel id ->
+              let got = Admission.cancel q ~req_id:id <> None in
+              let queued = List.exists (fun (r, _) -> r.Request.id = id) m.items in
+              m.items <- List.filter (fun (r, _) -> r.Request.id <> id) m.items;
+              if got <> queued then ok := false
+          | Shed_all ->
+              Admission.shed_all q Admission.Brownout;
+              List.iter (ref_drop m Admission.Brownout) m.items;
+              m.items <- []
+          | Purge ->
+              Admission.purge_expired q ~now:!now;
+              ref_purge m ~now:!now
+          | Advance dt -> now := !now + dt);
+          if Admission.length q <> List.length m.items then ok := false)
+        ops;
+      !ok
+      && drain q ~now:!now = List.filter_map (fun _ -> ref_take m ~now:!now) m.items
+      && Admission.shed_count q = m.r_shed
+      && Admission.expired_count q = m.r_expired
+      && !log = m.r_log)
+
 (* -- Brownout -- *)
 
 let bcfg =
@@ -402,6 +575,7 @@ let () =
           Alcotest.test_case "dead on arrival" `Quick test_dead_on_arrival_rejected;
           Alcotest.test_case "queued expiry" `Quick test_queued_requests_expire;
           Alcotest.test_case "shed all" `Quick test_shed_all;
+          to_alcotest admission_matches_reference;
         ] );
       ( "brownout",
         [
