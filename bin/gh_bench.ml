@@ -567,301 +567,35 @@ let security_cmd =
   let doc = "Demonstrate which isolation strategies stop a residue-leaking bug." in
   Cmd.v (Cmd.info "security-check" ~doc) Term.(ret (const run $ seed_arg $ n_arg))
 
-(* -- fault: the fail-closed recovery pipeline under seeded faults -- *)
+(* -- gated sweeps: fault, overload, cluster, slo, scrub -- *)
 
-let fault_cmd =
+(* One subcommand per sweep declaration: run the grid (or its smoke
+   grid), print the table, exit nonzero when the sweep's gate fails. *)
+let sweep_cmd (Gh_harness.Gated_sweep.Sweep s) =
+  let open Gh_harness.Gated_sweep in
   let bench_arg =
     Arg.(
-      value & opt string "deltablue (p)"
-      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark to inject faults into.")
+      value & opt string s.benchmark
+      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:s.benchmark_doc)
   in
-  let smoke_arg =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"Tiny CI run: one nonzero rate, few requests.")
-  in
-  let n_arg =
-    Arg.(value & opt int 120 & info [ "n" ] ~doc:"Requests per (strategy, rate) cell.")
-  in
-  let run profile seed bench smoke n =
-    let cfg = with_seed profile seed in
+  let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:s.smoke_doc) in
+  let n_arg = Arg.(value & opt int s.n & info [ "n" ] ~doc:s.n_doc) in
+  let run seed bench smoke n =
     match Gh_workloads.Catalog.find bench with
     | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let rates = if smoke then [ 0.0; 1e-3 ] else Gh_harness.Fault_exp.default_rates in
-        let requests = if smoke then 30 else n in
-        let points = Gh_harness.Fault_exp.run cfg ~rates ~requests entry in
-        Gh_harness.Fault_exp.print Format.std_formatter entry points;
-        let unsafe = Gh_harness.Fault_exp.total_unsafe points in
-        if unsafe > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "FAIL-CLOSED VIOLATION: %d request(s) served by a non-clean process" unsafe )
-        else `Ok ()
+    | Some entry -> (
+        let cfg = with_seed Gh_harness.Config.default seed in
+        let rows = run s cfg ~smoke ~requests:n entry in
+        print s Format.std_formatter entry rows;
+        match gate s rows with Ok () -> `Ok () | Error msg -> `Error (false, msg))
   in
-  let doc =
-    "Sweep seeded fault rates through the fail-closed recovery pipeline; exits nonzero if \
-     any request was served by a non-clean process."
-  in
-  Cmd.v (Cmd.info "fault" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
-
-(* -- overload: deadlines + bounded admission + brownout vs a raw queue -- *)
-
-let overload_cmd =
-  let bench_arg =
-    Arg.(
-      value & opt string "deltablue (p)"
-      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark to overload.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag & info [ "smoke" ] ~doc:"Tiny CI run: two utilization points, few requests.")
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 240
-      & info [ "n" ] ~doc:"Arrivals per (strategy, protection, utilization) cell.")
-  in
-  let run profile seed bench smoke n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let utils = if smoke then [ 0.8; 1.6 ] else Gh_harness.Overload_exp.default_utils in
-        let requests = if smoke then 90 else n in
-        let points = Gh_harness.Overload_exp.run cfg ~utils ~requests entry in
-        Gh_harness.Overload_exp.print Format.std_formatter entry points;
-        let violations = Gh_harness.Overload_exp.violations points in
-        if violations > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "OVERLOAD CONTRACT VIOLATION: %d breach(es) — non-clean serve, leaked \
-                 residue, shed request consuming work, or uncounted late completion"
-                violations )
-        else `Ok ()
-  in
-  let doc =
-    "Sweep offered load past capacity with overload protection (deadlines, bounded EDF \
-     admission, brownout) on and off; exits nonzero if any request was served by a \
-     non-clean process, a shed request consumed work, or a late completion went \
-     uncounted."
-  in
-  Cmd.v (Cmd.info "overload" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
-
-(* -- cluster: multi-node fleet under node faults, failover on vs off -- *)
-
-let cluster_cmd =
-  let bench_arg =
-    Arg.(
-      value & opt string "deltablue (p)"
-      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark the fleet serves.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Tiny CI run: one placement, rates 0 and 1%/min, few requests.")
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "n" ] ~doc:"Arrivals per (rate, placement, failover) cell.")
-  in
-  let run profile seed bench smoke n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let open Gh_harness.Cluster_exp in
-        let rates = if smoke then [ 0.0; 0.01 ] else default_rates in
-        let placements =
-          if smoke then [ Gh_faas.Cluster.Least_loaded ] else default_placements
-        in
-        let requests = if smoke then 150 else n in
-        let points = Gh_harness.Cluster_exp.run cfg ~rates ~placements ~requests entry in
-        Gh_harness.Cluster_exp.print Format.std_formatter entry points;
-        let violations = Gh_harness.Cluster_exp.violations points in
-        (* Acceptance on the 1%/min cells (when present): failover on keeps
-           availability >= 99% with bounded p99 inflation; failover off
-           collapses on the same seeded streams. *)
-        let rows = List.concat_map (fun (p : point) -> p.rows) points in
-        let find ~rate ~failover =
-          List.find_opt
-            (fun (r : row) -> r.rate_per_min = rate && r.failover = failover)
-            rows
-        in
-        let acceptance =
-          match (find ~rate:0.01 ~failover:true, find ~rate:0.01 ~failover:false) with
-          | Some on, Some off ->
-              let baseline_p99 =
-                match find ~rate:0.0 ~failover:true with
-                | Some b when not (Float.is_nan b.p99_ms) -> b.p99_ms
-                | _ -> Float.nan
-              in
-              let msgs = [] in
-              let msgs =
-                if on.availability < 0.99 then
-                  Printf.sprintf "failover-on availability %.2f%% < 99%%"
-                    (100.0 *. on.availability)
-                  :: msgs
-                else msgs
-              in
-              let msgs =
-                if
-                  (not (Float.is_nan baseline_p99))
-                  && (not (Float.is_nan on.p99_ms))
-                  && on.p99_ms > 8.0 *. baseline_p99
-                then
-                  Printf.sprintf "failover-on p99 %.1f ms > 8x fault-free %.1f ms"
-                    on.p99_ms baseline_p99
-                  :: msgs
-                else msgs
-              in
-              let msgs =
-                if off.availability > 0.90 then
-                  Printf.sprintf
-                    "failover-off availability %.2f%% did not collapse (> 90%%)"
-                    (100.0 *. off.availability)
-                  :: msgs
-                else msgs
-              in
-              msgs
-          | _ -> []
-        in
-        if violations > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "DELIVERY CONTRACT VIOLATION: %d breach(es) — double-serve, \
-                 shed-and-served, unaccounted completion, or dangling attempt"
-                violations )
-        else if acceptance <> [] then
-          `Error (false, "ACCEPTANCE FAILED: " ^ String.concat "; " acceptance)
-        else `Ok ()
-  in
-  let doc =
-    "Sweep node-level fault rates through the multi-node fleet with failover (health \
-     checks, breakers, restarts, retries, hedging) on and off; exits nonzero on any \
-     delivery-contract violation or if failover fails to hold availability."
-  in
-  Cmd.v (Cmd.info "cluster" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
-
-(* -- slo: burn-rate alerting + flight recorder under faults/overload -- *)
-
-let slo_cmd =
-  let bench_arg =
-    Arg.(
-      value & opt string "deltablue (p)"
-      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark the fleet serves.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny CI run: one nonzero fault rate, both load points, few requests.")
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 160
-      & info [ "n" ] ~doc:"Arrivals per (fault rate, load, failover) cell.")
-  in
-  let run profile seed bench smoke n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let open Gh_harness.Slo_exp in
-        let fault_rates = if smoke then [ 0.2 ] else default_fault_rates in
-        let load_factors = default_load_factors in
-        let requests = if smoke then 120 else n in
-        let points =
-          Gh_harness.Slo_exp.run cfg ~fault_rates ~load_factors ~requests entry
-        in
-        Gh_harness.Slo_exp.print Format.std_formatter entry points;
-        let violations = Gh_harness.Slo_exp.violations points in
-        if violations > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "OBSERVABILITY CONTRACT VIOLATION: %d breach(es) — objective left \
-                 without a prior alert, invalid or window-short flight-recorder dump, \
-                 or unclosed span tree"
-                violations )
-        else `Ok ()
-  in
-  let doc =
-    "Sweep injected fault and offered-load rates through the fleet with the full \
-     observability stack (windowed series, burn-rate SLO alerts, failure flight \
-     recorder); exits nonzero if any availability/latency breach arrives without a \
-     prior alert on the failover arm, or any flight-recorder dump fails validation."
-  in
-  Cmd.v (Cmd.info "slo" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
-
-(* -- scrub: snapshot integrity under seeded corruption -- *)
-
-let scrub_cmd =
-  let bench_arg =
-    Arg.(
-      value & opt string "deltablue (p)"
-      & info [ "benchmark"; "b" ] ~docv:"BENCHMARK" ~doc:"Benchmark to corrupt.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Tiny CI run: policies off and full, rates 0 and 5%, few requests.")
-  in
-  let n_arg =
-    Arg.(
-      value & opt int 60 & info [ "n" ] ~doc:"Requests per (strategy, rate, policy) cell.")
-  in
-  let run profile seed bench smoke n =
-    let cfg = with_seed profile seed in
-    match Gh_workloads.Catalog.find bench with
-    | None -> `Error (false, Printf.sprintf "benchmark %S not in catalog" bench)
-    | Some entry ->
-        let open Gh_harness.Scrub_exp in
-        let rates = if smoke then [ 0.0; 0.05 ] else default_rates in
-        let policies = if smoke then [ Off; Full ] else default_policies in
-        let requests = if smoke then 30 else n in
-        let points = Gh_harness.Scrub_exp.run cfg ~rates ~policies ~requests entry in
-        Gh_harness.Scrub_exp.print Format.std_formatter entry points;
-        let corrupt = protected_corrupted_serves points in
-        let window = unprotected_corrupted_serves points in
-        let max_rate = List.fold_left Float.max 0.0 rates in
-        if corrupt > 0 then
-          `Error
-            ( false,
-              Printf.sprintf
-                "INTEGRITY VIOLATION: %d request(s) served from corrupted state under \
-                 full verification"
-                corrupt )
-        else if List.mem Off policies && max_rate > 0.0 && window = 0 then
-          (* The sweep must also prove the hazard is real: with verification
-             off and corruption injected, the oracle has to catch at least
-             one corrupted serve, or the protected zero above means nothing. *)
-          `Error
-            ( false,
-              "VACUOUS SWEEP: corruption injected but the unverified baseline served \
-               nothing corrupt — the zero under full verification proves nothing" )
-        else `Ok ()
-  in
-  let doc =
-    "Sweep seeded snapshot-corruption rates against the verification policies (off, \
-     scrub-only, sampled, full); exits nonzero if any request is served from corrupted \
-     state under full verification, or if the unverified baseline fails to demonstrate \
-     the hazard."
-  in
-  Cmd.v (Cmd.info "scrub" ~doc)
-    Term.(ret (const run $ profile_arg $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
+  Cmd.v (Cmd.info s.name ~doc:s.doc)
+    Term.(ret (const run $ seed_arg $ bench_arg $ smoke_arg $ n_arg))
 
 let main =
   let doc = "Groundhog reproduction: regenerate the paper's evaluation." in
   Cmd.group (Cmd.info "gh-bench" ~version:"1.0.0" ~doc)
-    [
+    ([
       run_cmd;
       list_cmd;
       catalog_cmd;
@@ -870,11 +604,15 @@ let main =
       security_cmd;
       trace_cmd;
       trace_validate_cmd;
-      fault_cmd;
-      overload_cmd;
-      cluster_cmd;
-      slo_cmd;
-      scrub_cmd;
     ]
+    @ List.map sweep_cmd
+        Gh_harness.
+          [
+            Gated_sweep.Sweep Fault_exp.sweep;
+            Gated_sweep.Sweep Overload_exp.sweep;
+            Gated_sweep.Sweep Cluster_exp.sweep;
+            Gated_sweep.Sweep Slo_exp.sweep;
+            Gated_sweep.Sweep Scrub_exp.sweep;
+          ])
 
 let () = exit (Cmd.eval main)

@@ -89,15 +89,19 @@ test -s /tmp/gh_ci_slo.json
 
 # Byte-identity gates for the Node/Cluster/Admission paths: quick
 # `run all` never builds a Node, so the extras sweep and the stdout of
-# the cluster, SLO and overload smoke sweeps at seed 42 are pinned too.
-# Regenerate these files only with an intentional, reviewed behavior
-# change.
+# every gated sweep at seed 42 are pinned too, on the smoke grid
+# (ci/<sweep>_smoke.md5) and on the full default grid
+# (ci/<sweep>_full.md5). Each run must also exit 0: its contract gate
+# holds. Regenerate these files only with an intentional, reviewed
+# behavior change.
 dune exec bin/gh_bench.exe -- run extras --seed 42 --profile quick \
   > /tmp/gh_ci_runall_extras.txt
 md5sum /tmp/gh_ci_runall_extras.txt | awk '{print $1}' | diff - ci/runall_extras.md5
-for sweep in cluster slo overload; do
+for sweep in fault scrub overload cluster slo; do
   dune exec bin/gh_bench.exe -- $sweep --smoke --seed 42 > /tmp/gh_ci_${sweep}_smoke.txt
   md5sum /tmp/gh_ci_${sweep}_smoke.txt | awk '{print $1}' | diff - ci/${sweep}_smoke.md5
+  dune exec bin/gh_bench.exe -- $sweep --seed 42 > /tmp/gh_ci_${sweep}_full.txt
+  md5sum /tmp/gh_ci_${sweep}_full.txt | awk '{print $1}' | diff - ci/${sweep}_full.md5
 done
 
 # Allocation gate: a serial quick sweep allocates a deterministic number

@@ -125,8 +125,6 @@ let saved_pages t =
   fold_entries t ~init:0 ~f:(fun acc e ->
       acc + ((List.length e.holders - 1) * e.pages))
 
-let unique_blocks t = fold_entries t ~init:0 ~f:(fun acc _ -> acc + 1)
-
 let shared_blocks t =
   fold_entries t ~init:0 ~f:(fun acc e ->
       if List.length e.holders > 1 then acc + 1 else acc)

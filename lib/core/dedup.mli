@@ -48,7 +48,6 @@ val saved_pages : t -> int
 (** Present pages the index currently avoids storing:
     Σ over entries of (holders − 1) × block's present pages. *)
 
-val unique_blocks : t -> int
 val shared_blocks : t -> int
 (** Entries with ≥ 2 holders. *)
 

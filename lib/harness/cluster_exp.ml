@@ -28,7 +28,6 @@ module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Synthetic = Gh_workloads.Synthetic
 module Fm = Gh_faas.Function_model
-module Intf = Gh_faas.Strategy_intf
 module Request = Gh_faas.Request
 module Admission = Gh_faas.Admission
 module Node = Gh_faas.Node
@@ -64,63 +63,39 @@ type row = {
       (** Attempts/requests unaccounted after drain (failover on). Must be 0. *)
 }
 
-type point = { rate_per_min : float; rows : row list }
+type cell = (float * Cluster.placement) * bool
 
-let default_rates = [ 0.0; 0.01; 0.05; 0.2 ]
-let default_placements = [ Cluster.Least_loaded; Cluster.Warm_aware ]
 let n_nodes = 3
 let cores_per_node = 2
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
+(* Attempt patience: generous against honest queueing (the fault-free p99
+   is well under this), small against the deadline so a timed-out attempt
+   leaves room to fail over and still serve. *)
+let response_timeout service = max (Time_ns.of_ms 250.0) (6 * service)
 
-(* Mean per-request core occupancy on a throwaway instance: sizes the
-   offered rate, the response timeout and the deadline. *)
-let service_ns cfg spec ~seed =
-  match Registry.make Registry.Gh ~rng:(Rng.create (seed lxor 0x5eed)) spec with
-  | Error msg -> failwith ("Cluster_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
+type fleet = {
+  cluster : Cluster.t;
+  arrivals : Time_ns.t list;
+  warmup : Time_ns.t;
+  last_arrival : Time_ns.t;
+  ttl : Time_ns.t;
+}
 
-let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
-  (* The seed is shared by the two failover arms: identical arrivals and
-     an identical initial fault schedule, so the comparison isolates the
-     management plane. *)
-  let seed =
-    cfg.Config.seed
-    lxor Hashtbl.hash ("cluster", spec.Fm.name, Cluster.placement_name placement, rate_per_min)
-  in
+let fleet cfg spec engine ~seed ~salt ~service ~load ~cap_rps ~crashes ~fault_per_min
+    ~placement ~failover ~requests ?trace ?spans ?series ?slos ?recorder ~metrics ~on_failed
+    ~on_shed ~on_complete () =
   let root = Rng.create seed in
-  let service = service_ns cfg spec ~seed in
   let fleet_cores = n_nodes * cores_per_node in
   let capacity_rps = float_of_int fleet_cores *. 1.0e9 /. float_of_int service in
-  (* Sized so the fleet minus one node still has burst headroom (the
-     failover arms isolate fault handling, not overload — Overload_exp
-     covers that), and so the arrival span holds three scheduled crashes
-     spaced wider than one detect+restart+rejoin cycle (~1.1 s). *)
-  let rate_rps = Float.min (0.45 *. capacity_rps) (float_of_int requests /. 4.5) in
+  let rate_rps = Float.min (load *. capacity_rps) cap_rps in
   let hb = Time_ns.of_ms 100.0 in
-  (* Attempt patience: generous against honest queueing (the fault-free
-     p99 is well under this), small against the deadline so a timed-out
-     attempt leaves room to fail over and still serve. *)
-  let response_timeout = max (Time_ns.of_ms 250.0) (6 * service) in
+  let response_timeout = response_timeout service in
   (* Client deadline: room for two timed-out attempts plus a served one
      even when a restart window (~1 s) sits in the middle. *)
   let ttl = max (Time_ns.of_sec 2.0) (8 * response_timeout) in
   let warmup = Time_ns.of_sec 2.0 in
   let arrivals =
-    let arng = Rng.create (seed lxor Hashtbl.hash "cluster-arrivals") in
+    let arng = Rng.create (seed lxor Hashtbl.hash (salt ^ "-arrivals")) in
     List.map
       (fun t -> t + warmup)
       (Synthetic.burst ~duty:0.5 ~cycle_s:1.0 arng ~rate_rps ~n:requests)
@@ -128,30 +103,24 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
   let last_arrival = List.fold_left max warmup arrivals in
   let horizon = last_arrival + ttl + Time_ns.of_sec 2.0 in
   let fault =
-    if rate_per_min <= 0.0 then Fault.none
+    if fault_per_min <= 0.0 then Fault.none
     else begin
-      let plan = Fault.create ~seed:(Hashtbl.hash (seed, "cluster-plan")) in
+      let plan = Fault.create ~seed:(Hashtbl.hash (seed, salt ^ "-plan")) in
       let ticks_per_min = 60.0 *. 1.0e9 /. float_of_int hb in
-      let per_tick = rate_per_min /. ticks_per_min in
-      (* Three crashes scheduled across the arrival span (occurrence index
-         ~ n_nodes draws per tick while the fleet is whole), on top of the
-         rate-derived background probability. *)
+      let per_tick = fault_per_min /. ticks_per_min in
+      (* Scheduled crashes across the arrival span, on top of the
+         rate-derived background probability. Crash draws advance n_nodes
+         per tick whether members are up or not, so member [node]'s draw
+         on tick k (1-based) is occurrence (k-1)*n_nodes + node + 1: one
+         crash per listed member, at fixed times in both failover arms. *)
       let crash_nths =
-        List.filter_map
+        List.map
           (fun (node, f) ->
-            (* Crash draws advance n_nodes per tick whether members are up
-               or not, so member [node]'s draw on tick k (1-based) is
-               occurrence (k-1)*n_nodes + node + 1: three crashes, three
-               distinct members, at fixed times in both failover arms. *)
             let tick =
               max 1 ((warmup + int_of_float (f *. float_of_int (last_arrival - warmup))) / hb)
             in
-            let occ = ((tick - 1) * n_nodes) + node + 1 in
-            if occ >= 1 then Some occ else None)
-          (* Early enough that most of the stream faces a damaged fleet,
-             spaced wider than one detect+restart+rejoin cycle (~1.1 s)
-             so the failover arm rarely loses the whole fleet at once. *)
-          [ (0, 0.05); (1, 0.35); (2, 0.65) ]
+            ((tick - 1) * n_nodes) + node + 1)
+          crashes
       in
       Fault.set plan Fault.Node_crash ~prob:per_tick ~nth:crash_nths ();
       Fault.set plan Fault.Node_hang ~prob:(2.0 *. per_tick) ();
@@ -160,8 +129,6 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
       plan
     end
   in
-  let engine = Engine.create () in
-  let metrics = Gh_sim.Metrics.create () in
   let builds = ref 0 in
   let make_strategy _name sp =
     incr builds;
@@ -169,7 +136,7 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
       Registry.make Registry.Gh ~rng:(Rng.named_split root (Printf.sprintf "c%d" !builds)) sp
     with
     | Ok s -> s
-    | Error msg -> failwith ("Cluster_exp: " ^ msg)
+    | Error msg -> failwith msg
   in
   let cluster_config =
     {
@@ -201,8 +168,8 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     }
   in
   let cluster =
-    Cluster.create ~metrics ~rng:(Rng.named_split root "cluster") ~fault engine
-      cluster_config ~make_strategy
+    Cluster.create ?trace ?spans ?series ?slos ?recorder ~metrics
+      ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config ~make_strategy
   in
   let fn = spec.Fm.name in
   Cluster.register cluster ~name:fn spec;
@@ -211,19 +178,15 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
       ~rng:(Rng.named_split root "controller")
       (fun req ~on_response -> Cluster.submit cluster ~name:fn req ~on_response)
   in
-  let served_ids = Hashtbl.create 256 in
-  let failed_ids = Hashtbl.create 64 in
-  let double_served = ref 0 in
-  let e2e_ms = ref [] in
-  Cluster.set_on_failed cluster (fun req -> Hashtbl.replace failed_ids req.Request.id ());
-  Controller.set_on_shed controller (fun req -> Hashtbl.replace failed_ids req.Request.id ());
+  Cluster.set_on_failed cluster on_failed;
+  Controller.set_on_shed controller on_shed;
   (* One warm-up request per core at t=0 (no deadline, uncounted) pays the
      fleet's container cold starts before measurement. *)
   for i = 1 to fleet_cores do
     Engine.at engine ~time:0 (fun () ->
         Cluster.submit cluster ~name:fn
           (Request.make ~id:(2_000_000 + i)
-             ~principal:principals.(i land 1)
+             ~principal:Gated_sweep.principals.(i land 1)
              ~input_kb:spec.Fm.input_kb ())
           ~on_response:(fun _ _ -> ()))
   done;
@@ -236,21 +199,55 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
            fun () ->
              let req =
                Request.make ~id
-                 ~principal:principals.(i land 1)
+                 ~principal:Gated_sweep.principals.(i land 1)
                  ~input_kb:spec.Fm.input_kb ()
              in
-             Controller.submit controller req
-               ~on_complete:(fun (c : Controller.completion) ->
-                 if Hashtbl.mem served_ids c.Controller.request.Request.id then
-                   incr double_served
-                 else begin
-                   Hashtbl.replace served_ids c.Controller.request.Request.id ();
-                   e2e_ms := Time_ns.to_ms c.Controller.e2e_ns :: !e2e_ms
-                 end) ))
+             Controller.submit controller req ~on_complete ))
        arrivals);
   Engine.run_all engine;
-  let s = Cluster.stats cluster in
-  let offered = List.length arrivals in
+  { cluster; arrivals; warmup; last_arrival; ttl }
+
+let measure cfg (entry : Catalog.entry) ~requests ((rate_per_min, placement), failover) =
+  let spec = entry.Catalog.spec in
+  (* The seed is shared by the two failover arms: identical arrivals and
+     an identical initial fault schedule, so the comparison isolates the
+     management plane. *)
+  let seed =
+    cfg.Config.seed
+    lxor Hashtbl.hash ("cluster", spec.Fm.name, Cluster.placement_name placement, rate_per_min)
+  in
+  let service = Gated_sweep.service_ns cfg Registry.Gh spec ~seed:(seed lxor 0x5eed) in
+  let engine = Engine.create () in
+  let served_ids = Hashtbl.create 256 in
+  let failed_ids = Hashtbl.create 64 in
+  let double_served = ref 0 in
+  let e2e_ms = ref [] in
+  let fail (req : Request.t) = Hashtbl.replace failed_ids req.Request.id () in
+  let f =
+    fleet cfg spec engine ~seed ~salt:"cluster" ~service
+      (* Sized so the fleet minus one node still has burst headroom (the
+         failover arms isolate fault handling, not overload — Overload_exp
+         covers that), and so the arrival span holds three scheduled
+         crashes spaced wider than one detect+restart+rejoin cycle
+         (~1.1 s). *)
+      ~load:0.45
+      ~cap_rps:(float_of_int requests /. 4.5)
+      (* Early enough that most of the stream faces a damaged fleet,
+         spaced wider than one detect+restart+rejoin cycle so the failover
+         arm rarely loses the whole fleet at once. *)
+      ~crashes:[ (0, 0.05); (1, 0.35); (2, 0.65) ]
+      ~fault_per_min:rate_per_min ~placement ~failover ~requests
+      ~metrics:(Gh_sim.Metrics.create ()) ~on_failed:fail ~on_shed:fail
+      ~on_complete:(fun (c : Controller.completion) ->
+        if Hashtbl.mem served_ids c.Controller.request.Request.id then incr double_served
+        else begin
+          Hashtbl.replace served_ids c.Controller.request.Request.id ();
+          e2e_ms := Time_ns.to_ms c.Controller.e2e_ns :: !e2e_ms
+        end)
+      ()
+  in
+  let s = Cluster.stats f.cluster in
+  let offered = List.length f.arrivals in
   let served = Hashtbl.length served_ids in
   let shed_and_served =
     Hashtbl.fold
@@ -268,7 +265,7 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     if failover then s.Cluster.inflight + s.Cluster.pending_requests else 0
   in
   let duration_s =
-    Float.max 1e-9 (Time_ns.to_ms (last_arrival - warmup + ttl) /. 1000.0)
+    Float.max 1e-9 (Time_ns.to_ms (f.last_arrival - f.warmup + f.ttl) /. 1000.0)
   in
   let summary =
     match !e2e_ms with
@@ -308,104 +305,111 @@ let measure cfg spec ~rate_per_min ~placement ~failover ~requests =
     inflight_residue;
   }
 
-let run cfg ?(rates = default_rates) ?(placements = default_placements) ?(requests = 200)
-    (entry : Catalog.entry) =
-  List.map
-    (fun rate_per_min ->
-      {
-        rate_per_min;
-        rows =
-          List.concat_map
-            (fun placement ->
-              [
-                measure cfg entry.Catalog.spec ~rate_per_min ~placement ~failover:true
-                  ~requests;
-                measure cfg entry.Catalog.spec ~rate_per_min ~placement ~failover:false
-                  ~requests;
-              ])
-            placements;
-      })
-    rates
-
-(* The CI gate: every way a cell can violate the delivery contract.
+(* The gate: every way a cell can violate the delivery contract.
    [double_served]: a response delivered twice; [shed_and_served]: a
    request both failed and served; [conservation_residue]: a node
    completion unaccounted for; [inflight_residue]: attempts or requests
    left dangling after drain with failover on. *)
-let violations points =
-  List.fold_left
-    (fun n p ->
-      List.fold_left
-        (fun n r ->
-          n + r.double_served + r.shed_and_served + abs r.conservation_residue
-          + r.inflight_residue)
-        n p.rows)
-    0 points
+let violations r =
+  r.double_served + r.shed_and_served + abs r.conservation_residue + r.inflight_residue
 
-let print ppf (entry : Catalog.entry) points =
-  let header =
-    [
-      "rate/min";
-      "placement";
-      "fo";
-      "offered";
-      "served";
-      "fail";
-      "avail";
-      "gp r/s";
-      "p50 ms";
-      "p99 ms";
-      "fo p99";
-      "retry";
-      "hedge";
-      "cancel";
-      "crash";
-      "restart";
-      "tmo";
-      "waste";
-      "lost";
-      "viol";
-    ]
+(* Acceptance on the 1%/min cells (when present): failover on keeps
+   availability >= 99% with bounded p99 inflation; failover off collapses
+   on the same seeded streams. *)
+let acceptance rows =
+  let find ~rate ~failover =
+    List.find_opt (fun r -> r.rate_per_min = rate && r.failover = failover) rows
   in
-  let fmt_opt v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun (r : row) ->
-            [
-              Printf.sprintf "%.0f%%" (100.0 *. r.rate_per_min);
-              Cluster.placement_name r.placement;
-              (if r.failover then "on" else "off");
-              string_of_int r.offered;
-              string_of_int r.served;
-              string_of_int r.failed;
-              Printf.sprintf "%.1f%%" (100.0 *. r.availability);
-              Printf.sprintf "%.1f" r.goodput_rps;
-              fmt_opt r.p50_ms;
-              fmt_opt r.p99_ms;
-              fmt_opt r.failover_p99_ms;
-              string_of_int r.retries;
-              string_of_int r.hedges;
-              string_of_int r.cancelled;
-              string_of_int r.crashes;
-              string_of_int r.restarts;
-              string_of_int r.timeouts;
-              string_of_int r.wasted;
-              string_of_int r.lost;
-              string_of_int
-                (r.double_served + r.shed_and_served + abs r.conservation_residue
-               + r.inflight_residue);
-            ])
-          p.rows)
-      points
-  in
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "Cluster fault tolerance on %s: %d nodes, node crashes/hangs/message loss from \
-          the seeded plan, failover (health checks, breakers, restarts, retries, \
-          hedging) on vs off over identical request streams. 'viol' must be 0: no \
-          double-serve, no shed-and-served, every node completion accounted."
-         entry.Catalog.display n_nodes)
-    ~header rows
+  match (find ~rate:0.01 ~failover:true, find ~rate:0.01 ~failover:false) with
+  | Some on, Some off ->
+      let baseline_p99 =
+        match find ~rate:0.0 ~failover:true with
+        | Some b when not (Float.is_nan b.p99_ms) -> b.p99_ms
+        | _ -> Float.nan
+      in
+      let msgs = [] in
+      let msgs =
+        if on.availability < 0.99 then
+          Printf.sprintf "failover-on availability %.2f%% < 99%%" (100.0 *. on.availability)
+          :: msgs
+        else msgs
+      in
+      let msgs =
+        if
+          (not (Float.is_nan baseline_p99))
+          && (not (Float.is_nan on.p99_ms))
+          && on.p99_ms > 8.0 *. baseline_p99
+        then
+          Printf.sprintf "failover-on p99 %.1f ms > 8x fault-free %.1f ms" on.p99_ms
+            baseline_p99
+          :: msgs
+        else msgs
+      in
+      if off.availability > 0.90 then
+        Printf.sprintf "failover-off availability %.2f%% did not collapse (> 90%%)"
+          (100.0 *. off.availability)
+        :: msgs
+      else msgs
+  | _ -> []
+
+let grid rates placements =
+  Gated_sweep.(product (product rates placements) [ true; false ])
+
+let sweep =
+  {
+    Gated_sweep.name = "cluster";
+    doc =
+      "Sweep node-level fault rates through the multi-node fleet with failover (health \
+       checks, breakers, restarts, retries, hedging) on and off; exits nonzero on any \
+       delivery-contract violation or if failover fails to hold availability.";
+    benchmark = "deltablue (p)";
+    benchmark_doc = "Benchmark the fleet serves.";
+    n = 200;
+    n_doc = "Arrivals per (rate, placement, failover) cell.";
+    grid = grid [ 0.0; 0.01; 0.05; 0.2 ] [ Cluster.Least_loaded; Cluster.Warm_aware ];
+    smoke = grid [ 0.0; 0.01 ] [ Cluster.Least_loaded ];
+    smoke_n = 150;
+    smoke_doc = "Tiny CI run: one placement, rates 0 and 1%/min, few requests.";
+    cell = (fun cfg entry ~requests cell -> Some (measure cfg entry ~requests cell));
+    title =
+      (fun entry ->
+        Printf.sprintf
+          "Cluster fault tolerance on %s: %d nodes, node crashes/hangs/message loss from \
+           the seeded plan, failover (health checks, breakers, restarts, retries, \
+           hedging) on vs off over identical request streams. 'viol' must be 0: no \
+           double-serve, no shed-and-served, every node completion accounted."
+          entry.Catalog.display n_nodes);
+    columns =
+      [
+        ("rate/min", fun r -> Printf.sprintf "%.0f%%" (100.0 *. r.rate_per_min));
+        ("placement", fun r -> Cluster.placement_name r.placement);
+        ("fo", fun r -> if r.failover then "on" else "off");
+        ("offered", fun r -> string_of_int r.offered);
+        ("served", fun r -> string_of_int r.served);
+        ("fail", fun r -> string_of_int r.failed);
+        ("avail", fun r -> Printf.sprintf "%.1f%%" (100.0 *. r.availability));
+        ("gp r/s", fun r -> Printf.sprintf "%.1f" r.goodput_rps);
+        ("p50 ms", fun r -> Gated_sweep.fmt_opt 1 r.p50_ms);
+        ("p99 ms", fun r -> Gated_sweep.fmt_opt 1 r.p99_ms);
+        ("fo p99", fun r -> Gated_sweep.fmt_opt 1 r.failover_p99_ms);
+        ("retry", fun r -> string_of_int r.retries);
+        ("hedge", fun r -> string_of_int r.hedges);
+        ("cancel", fun r -> string_of_int r.cancelled);
+        ("crash", fun r -> string_of_int r.crashes);
+        ("restart", fun r -> string_of_int r.restarts);
+        ("tmo", fun r -> string_of_int r.timeouts);
+        ("waste", fun r -> string_of_int r.wasted);
+        ("lost", fun r -> string_of_int r.lost);
+        ("viol", fun r -> string_of_int (violations r));
+      ];
+    violations;
+    gate =
+      Printf.sprintf
+        "DELIVERY CONTRACT VIOLATION: %d breach(es) — double-serve, shed-and-served, \
+         unaccounted completion, or dangling attempt";
+    checks =
+      (fun rows ->
+        match acceptance rows with
+        | [] -> []
+        | msgs -> [ "ACCEPTANCE FAILED: " ^ String.concat "; " msgs ]);
+  }

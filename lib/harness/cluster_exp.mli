@@ -34,31 +34,64 @@ type row = {
   inflight_residue : int;  (** Must be 0 (checked with failover on). *)
 }
 
-type point = { rate_per_min : float; rows : row list }
+type cell
+(** A ((rate, placement), failover) grid point. *)
 
-val default_rates : float list
-val default_placements : Gh_faas.Cluster.placement list
+val sweep : (cell, row) Gated_sweep.spec
+(** Rates 0, 1, 5 and 20 %/min x least-loaded and warm-aware placement
+    (smoke: rates 0 and 1 %/min, least-loaded), each cell with failover on
+    and off. The gate sums the delivery-contract terms; its checks are the
+    acceptance conditions on the 1 %/min cells: failover on keeps
+    availability >= 99% and p99 within 8x the fault-free cell, failover
+    off collapses below 90%. *)
 
-val measure :
+(** {1 The fleet cell}
+
+    Shared with {!Slo_exp}, which runs the same fleet with the full
+    observability stack attached. *)
+
+val n_nodes : int
+
+val response_timeout : int -> Gh_sim.Time_ns.t
+(** The attempt timeout for a mean service time. *)
+
+type fleet = {
+  cluster : Gh_faas.Cluster.t;
+  arrivals : Gh_sim.Time_ns.t list;  (** Measured arrivals, after the warm-up. *)
+  warmup : Gh_sim.Time_ns.t;  (** Measurement start. *)
+  last_arrival : Gh_sim.Time_ns.t;
+  ttl : Gh_sim.Time_ns.t;  (** The client deadline. *)
+}
+
+val fleet :
   Config.t ->
   Gh_faas.Function_model.spec ->
-  rate_per_min:float ->
+  Gh_sim.Engine.t ->
+  seed:int ->
+  salt:string ->
+  service:int ->
+  load:float ->
+  cap_rps:float ->
+  crashes:(int * float) list ->
+  fault_per_min:float ->
   placement:Gh_faas.Cluster.placement ->
   failover:bool ->
   requests:int ->
-  row
-
-val run :
-  Config.t ->
-  ?rates:float list ->
-  ?placements:Gh_faas.Cluster.placement list ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-
-val violations : point list -> int
-(** Delivery-contract breaches across all cells: double-serves,
-    shed-and-served requests, conservation residue, dangling attempts.
-    The CI gate — must be 0. *)
-
-val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+  ?trace:Gh_sim.Trace.t ->
+  ?spans:Gh_sim.Span.t ->
+  ?series:Gh_sim.Timeseries.t ->
+  ?slos:Gh_sim.Slo.t list ->
+  ?recorder:Gh_sim.Flight_recorder.t ->
+  metrics:Gh_sim.Metrics.t ->
+  on_failed:(Gh_faas.Request.t -> unit) ->
+  on_shed:(Gh_faas.Request.t -> unit) ->
+  on_complete:(Gh_faas.Controller.completion -> unit) ->
+  unit ->
+  fleet
+(** Runs one fleet cell to completion on [engine]: a 3-node, 2-core GH
+    fleet behind the controller, one uncounted warm-up request per core at
+    t = 0, then [requests] bursty arrivals at [min (load x capacity)
+    cap_rps] from [service]. A nonzero [fault_per_min] adds node crashes
+    and hangs at that per-node rate, message loss, heartbeat drops, and
+    one scheduled crash per [(node, fraction of the arrival span)] in
+    [crashes]. [salt] keys the arrival and fault-plan streams. *)

@@ -49,11 +49,6 @@ val effective_jobs : t -> int
     state, so instrumented runs serialize rather than lock every record
     call. *)
 
-val downgrade_reasons : t -> string list
-(** The CLI flags whose collectors force {!effective_jobs} to 1 —
-    empty when no collector is attached. The driver names them in the
-    warning it prints when a [-j] > 1 request is being overridden. *)
-
 val latency_requests_for : t -> Gh_faas.Function_model.spec -> int
 (** Adaptive request count by benchmark duration. *)
 

@@ -210,6 +210,12 @@ let catalog_entry name =
   | Some entry -> entry
   | None -> failwith (Printf.sprintf "Experiments: no catalog entry named %S" name)
 
+(* A gated sweep's full grid, printed but not gated: the gate belongs to
+   its gh-bench subcommand. *)
+let gated_extra s cfg ppf =
+  let entry = catalog_entry s.Gated_sweep.benchmark in
+  Gated_sweep.print s ppf entry (Gated_sweep.run s cfg entry)
+
 let run ?cache:c id cfg ppf =
   let cache = match c with Some c -> c | None -> cache cfg in
   let latency_results cfg = latency_results cache cfg in
@@ -259,14 +265,11 @@ let run ?cache:c id cfg ppf =
       let entry = catalog_entry "deltablue (p)" in
       Crash_exp.print ppf entry (Crash_exp.run cfg entry)
   | Fault_injection ->
-      let entry = catalog_entry "deltablue (p)" in
-      Fault_exp.print ppf entry (Fault_exp.run cfg entry)
+      gated_extra Fault_exp.sweep cfg ppf
   | Overload ->
-      let entry = catalog_entry "deltablue (p)" in
-      Overload_exp.print ppf entry (Overload_exp.run cfg entry)
+      gated_extra Overload_exp.sweep cfg ppf
   | Scrub_integrity ->
-      let entry = catalog_entry "deltablue (p)" in
-      Scrub_exp.print ppf entry (Scrub_exp.run cfg entry)
+      gated_extra Scrub_exp.sweep cfg ppf
 
 (* Each experiment renders into its own buffer-backed formatter (header
    included); the buffers are concatenated in request order, so the merged

@@ -8,8 +8,6 @@ module Catalog = Gh_workloads.Catalog
 module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Invoker = Gh_faas.Invoker
-module Container = Gh_faas.Container
-module Backoff = Gh_faas.Backoff
 
 type row = {
   strategy : Registry.id;
@@ -29,42 +27,14 @@ type row = {
   p99_ms : float;
 }
 
-type point = { fault_rate : float; rows : row list }
+type cell = float * Registry.id
 
 let strategies = [ Registry.Base; Registry.Gh; Registry.Gh_nop; Registry.Fork ]
-let default_rates = [ 0.0; 1e-4; 1e-3; 1e-2 ]
 
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
+let n_containers = 2
 
-(* The fail-closed checker: every dispatch is gated on the strategy's own
-   lifecycle state. A strategy without one (fork, base) reports [None] and
-   is exempt — it has no provably-clean notion to violate. *)
-let guard unsafe (s : Intf.t) =
-  {
-    s with
-    Intf.invoke =
-      (fun req ->
-        (match s.Intf.status () with
-        | Some `Clean | None -> ()
-        | Some _ -> incr unsafe);
-        s.Intf.invoke req);
-  }
-
-let default_recovery =
-  {
-    Invoker.container =
-      {
-        Container.timeout_ns = Some (Time_ns.of_sec 1.0);
-        quarantine_after = 3;
-        rebuild_backoff = Backoff.recovery;
-        max_rebuild_attempts = 5;
-      };
-    max_attempts = 3;
-    retry_backoff = Backoff.default;
-  }
-
-let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
+let measure cfg (entry : Catalog.entry) ~requests:n_requests (fault_rate, strategy) =
+  let spec = entry.Catalog.spec in
   if not (Registry.supports strategy spec) then None
   else begin
     let seed =
@@ -73,7 +43,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
     in
     let root = Rng.create seed in
     let engine = Engine.create () in
-    let unsafe = ref 0 in
+    let guard = Gated_sweep.guard_stats () in
     let builds = Array.make n_containers 0 in
     let make_strategy i =
       let b = builds.(i) in
@@ -101,7 +71,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
            (deterministically: the retry index feeds the plan seed). *)
         let rec go a =
           match attempt a with
-          | Ok s -> guard unsafe s
+          | Ok s -> Gated_sweep.guard guard s
           | Error _ when a < 50 -> go (a + 1)
           | Error msg -> failwith msg
         in
@@ -110,20 +80,11 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
       else
         (* Cold-restart rebuilds surface their faults to the recovery
            pipeline, which paces retries with backoff. *)
-        match attempt 0 with Ok s -> guard unsafe s | Error msg -> failwith msg
-    in
-    let recovery =
-      (* Hang timeout scaled to the workload so slow benchmarks aren't
-         killed while legitimately computing. *)
-      let timeout = Time_ns.of_sec 1.0 + (8 * spec.Fm.exec_ns) in
-      {
-        default_recovery with
-        Invoker.container =
-          { default_recovery.Invoker.container with Container.timeout_ns = Some timeout };
-      }
+        match attempt 0 with Ok s -> Gated_sweep.guard guard s | Error msg -> failwith msg
     in
     let invoker =
-      Invoker.create ~trace:(Gh_sim.Trace.create ()) ~recovery ~rng:(Rng.split root) engine
+      Invoker.create ~trace:(Gh_sim.Trace.create ()) ~recovery:(Gated_sweep.recovery spec)
+        ~rng:(Rng.split root) engine
         ~n_containers ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
     in
     let delivered = ref 0 and crashed = ref 0 in
@@ -139,7 +100,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
              fun () ->
                let req =
                  Gh_faas.Request.make ~id:i
-                   ~principal:principals.(i land 1)
+                   ~principal:Gated_sweep.principals.(i land 1)
                    ~input_kb:spec.Fm.input_kb ()
                in
                Invoker.submit invoker req ~on_response:(fun _ inv ->
@@ -177,7 +138,7 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
         retries = rs.Invoker.retries;
         quarantined = rs.Invoker.quarantined;
         replacements = rs.Invoker.replacements;
-        unsafe_served = !unsafe;
+        unsafe_served = guard.Gated_sweep.unsafe;
         availability =
           (if n_requests = 0 then Float.nan
            else float_of_int !delivered /. float_of_int n_requests);
@@ -188,71 +149,48 @@ let measure cfg strategy spec ~fault_rate ~n_containers ~n_requests =
       }
   end
 
-let run cfg ?(rates = default_rates) ?(n_containers = 2) ?(requests = 120)
-    (entry : Catalog.entry) =
-  List.map
-    (fun fault_rate ->
-      {
-        fault_rate;
-        rows =
-          List.filter_map
-            (fun strategy ->
-              measure cfg strategy entry.Catalog.spec ~fault_rate ~n_containers
-                ~n_requests:requests)
-            strategies;
-      })
-    rates
+let violations r = r.unsafe_served
 
-let total_unsafe points =
-  List.fold_left
-    (fun n p -> List.fold_left (fun n r -> n + r.unsafe_served) n p.rows)
-    0 points
-
-let print ppf (entry : Catalog.entry) points =
-  let header =
-    [
-      "fault rate";
-      "strategy";
-      "avail";
-      "goodput r/s";
-      "p99 ms";
-      "MTTR ms";
-      "timeout";
-      "retry";
-      "fail";
-      "quar";
-      "rebuild";
-      "unsafe";
-    ]
-  in
-  let fmt_opt v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun r ->
-            [
-              Printf.sprintf "%.2f%%" (100.0 *. p.fault_rate);
-              String.uppercase_ascii (Registry.to_string r.strategy);
-              Printf.sprintf "%.1f%%" (100.0 *. r.availability);
-              Printf.sprintf "%.1f" r.goodput_rps;
-              fmt_opt r.p99_ms;
-              fmt_opt r.mttr_ms;
-              string_of_int r.timeouts;
-              string_of_int r.retries;
-              string_of_int r.failed;
-              string_of_int r.quarantined;
-              string_of_int r.replacements;
-              string_of_int r.unsafe_served;
-            ])
-          p.rows)
-      points
-  in
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "Fault injection on %s: availability, goodput, MTTR and p99 vs fault rate — \
-          fail-closed recovery (kill, cold-restart, re-snapshot; quarantine after repeated \
-          failures). 'unsafe' counts requests served by a non-clean process and must be 0."
-         entry.Catalog.display)
-    ~header rows
+let sweep =
+  {
+    Gated_sweep.name = "fault";
+    doc =
+      "Sweep seeded fault rates through the fail-closed recovery pipeline; exits nonzero \
+       if any request was served by a non-clean process.";
+    benchmark = "deltablue (p)";
+    benchmark_doc = "Benchmark to inject faults into.";
+    n = 120;
+    n_doc = "Requests per (strategy, rate) cell.";
+    grid = Gated_sweep.product [ 0.0; 1e-4; 1e-3; 1e-2 ] strategies;
+    smoke = Gated_sweep.product [ 0.0; 1e-3 ] strategies;
+    smoke_n = 30;
+    smoke_doc = "Tiny CI run: one nonzero rate, few requests.";
+    cell = measure;
+    title =
+      (fun entry ->
+        Printf.sprintf
+          "Fault injection on %s: availability, goodput, MTTR and p99 vs fault rate — \
+           fail-closed recovery (kill, cold-restart, re-snapshot; quarantine after \
+           repeated failures). 'unsafe' counts requests served by a non-clean process and \
+           must be 0."
+          entry.Catalog.display);
+    columns =
+      [
+        ("fault rate", fun r -> Printf.sprintf "%.2f%%" (100.0 *. r.fault_rate));
+        ("strategy", fun r -> String.uppercase_ascii (Registry.to_string r.strategy));
+        ("avail", fun r -> Printf.sprintf "%.1f%%" (100.0 *. r.availability));
+        ("goodput r/s", fun r -> Printf.sprintf "%.1f" r.goodput_rps);
+        ("p99 ms", fun r -> Gated_sweep.fmt_opt 1 r.p99_ms);
+        ("MTTR ms", fun r -> Gated_sweep.fmt_opt 1 r.mttr_ms);
+        ("timeout", fun r -> string_of_int r.timeouts);
+        ("retry", fun r -> string_of_int r.retries);
+        ("fail", fun r -> string_of_int r.failed);
+        ("quar", fun r -> string_of_int r.quarantined);
+        ("rebuild", fun r -> string_of_int r.replacements);
+        ("unsafe", fun r -> string_of_int (violations r));
+      ];
+    violations;
+    gate =
+      Printf.sprintf "FAIL-CLOSED VIOLATION: %d request(s) served by a non-clean process";
+    checks = (fun _ -> []);
+  }

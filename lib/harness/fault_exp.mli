@@ -34,35 +34,9 @@ type row = {
   p99_ms : float;  (** Of delivered end-to-end latencies; NaN without samples. *)
 }
 
-type point = { fault_rate : float; rows : row list }
+type cell
+(** A (fault rate, strategy) grid point. *)
 
-val strategies : Gh_isolation.Registry.id list
-(** BASE, GH, GH_NOP, FORK. *)
-
-val default_rates : float list
-(** [0, 1e-4, 1e-3, 1e-2] per-site fault probability. *)
-
-val measure :
-  Config.t ->
-  Gh_isolation.Registry.id ->
-  Gh_faas.Function_model.spec ->
-  fault_rate:float ->
-  n_containers:int ->
-  n_requests:int ->
-  row option
-(** One cell of the sweep; [None] when the strategy doesn't support the
-    spec. Deterministic: the same config seed, spec and rate reproduce the
-    identical fault schedule and output. *)
-
-val run :
-  Config.t ->
-  ?rates:float list ->
-  ?n_containers:int ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-
-val total_unsafe : point list -> int
-(** Sum of [unsafe_served] over the sweep — the CI gate checks this is 0. *)
-
-val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+val sweep : (cell, row) Gated_sweep.spec
+(** Rates 0, 1e-4, 1e-3 and 1e-2 per site (smoke: 0 and 1e-3) over BASE,
+    GH, GH_NOP and FORK; the gate sums [unsafe_served]. *)

@@ -23,7 +23,6 @@ module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
 module Synthetic = Gh_workloads.Synthetic
 module Fm = Gh_faas.Function_model
-module Intf = Gh_faas.Strategy_intf
 module Request = Gh_faas.Request
 module Principal = Gh_faas.Principal
 module Admission = Gh_faas.Admission
@@ -55,74 +54,18 @@ type row = {
   late_uncounted : int;  (** Late completions the node failed to count. Must be 0. *)
 }
 
-type point = { util : float; rows : row list }
-
-let default_strategies = [ Registry.Base; Registry.Gh ]
-let default_utils = [ 0.5; 0.8; 1.1; 1.5; 2.0 ]
+type cell = (float * Registry.id) * bool
 
 let principals =
-  [|
-    Gh_faas.Principal.make ~id:1 ~name:"alice";
-    Gh_faas.Principal.make ~id:2 ~name:"bob";
+  Array.append Gated_sweep.principals
     (* Best-effort tenant: first to go when brownout reaches [Shedding]. *)
-    Gh_faas.Principal.with_priority (Gh_faas.Principal.make ~id:3 ~name:"carol") 0;
-  |]
-
-type guard_stats = {
-  served : (int, unit) Hashtbl.t;
-  mutable unsafe : int;
-  mutable leaks : int;
-}
-
-(* Every dispatch is gated on the strategy's own lifecycle state (as in
-   Fault_exp), and additionally on residue: an isolating strategy serving a
-   word tagged with another principal's id is a cross-domain leak. Brownout's
-   deferred restores must never trip either check. *)
-let guard stats (s : Intf.t) =
-  {
-    s with
-    Intf.invoke =
-      (fun req ->
-        let gated = s.Intf.status () <> None in
-        (match s.Intf.status () with
-        | Some `Clean | None -> ()
-        | Some _ -> stats.unsafe <- stats.unsafe + 1);
-        Hashtbl.replace stats.served req.Request.id ();
-        let inv = s.Intf.invoke req in
-        if gated then
-          List.iter
-            (fun w ->
-              if w <> 0 && not (Principal.owns_word req.Request.principal w) then
-                stats.leaks <- stats.leaks + 1)
-            inv.Intf.response.Fm.residue;
-        inv);
-  }
-
-(* Mean per-request core occupancy (critical path + deferred work), measured
-   on a throwaway instance: the denominator of the utilization sweep. The
-   probe alternates principals so Groundhog's restore is always charged. *)
-let service_ns cfg strategy spec ~seed =
-  match Registry.make strategy ~rng:(Rng.create (seed lxor 0x5eed)) spec with
-  | Error msg -> failwith ("Overload_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
+    [| Principal.with_priority (Principal.make ~id:3 ~name:"carol") 0 |]
 
 let measure cfg strategy spec ~util ~requests ~protected =
   let seed =
     cfg.Config.seed lxor Hashtbl.hash ("overload", spec.Fm.name, Registry.to_string strategy)
   in
-  let service = service_ns cfg strategy spec ~seed in
+  let service = Gated_sweep.service_ns cfg strategy spec ~seed:(seed lxor 0x5eed) in
   let cores = cfg.Config.n_containers in
   let capacity_rps = float_of_int cores *. 1.0e9 /. float_of_int service in
   let rate_rps = util *. capacity_rps in
@@ -142,14 +85,14 @@ let measure cfg strategy spec ~util ~requests ~protected =
   in
   let root = Rng.create seed in
   let engine = Engine.create () in
-  let stats = { served = Hashtbl.create 256; unsafe = 0; leaks = 0 } in
+  let stats = Gated_sweep.guard_stats () in
   let builds = ref 0 in
   let make_strategy _name sp =
     incr builds;
     match
       Registry.make strategy ~rng:(Rng.named_split root (Printf.sprintf "c%d" !builds)) sp
     with
-    | Ok s -> guard stats s
+    | Ok s -> Gated_sweep.guard stats s
     | Error msg -> failwith ("Overload_exp: " ^ msg)
   in
   let node_config =
@@ -237,7 +180,7 @@ let measure cfg strategy spec ~util ~requests ~protected =
   let goodput = completed - !misses_recounted in
   let shed_served =
     Hashtbl.fold
-      (fun id () n -> if Hashtbl.mem stats.served id then n + 1 else n)
+      (fun id () n -> if Hashtbl.mem stats.Gated_sweep.served id then n + 1 else n)
       shed_ids 0
   in
   let reported_misses = Node.total_deadline_misses node in
@@ -275,102 +218,78 @@ let measure cfg strategy spec ~util ~requests ~protected =
     queue_high_water = qhw;
     cold_starts = Node.total_cold_starts node;
     brownout_escalations = Node.brownout_escalations node;
-    unsafe_served = stats.unsafe;
-    leaked_words = stats.leaks;
+    unsafe_served = stats.Gated_sweep.unsafe;
+    leaked_words = stats.Gated_sweep.leaks;
     shed_served;
     late_uncounted;
   }
 
-let run cfg ?(strategies = default_strategies) ?(utils = default_utils) ?(requests = 240)
-    (entry : Catalog.entry) =
-  List.map
-    (fun util ->
-      {
-        util;
-        rows =
-          List.concat_map
-            (fun strategy ->
-              if not (Registry.supports strategy entry.Catalog.spec) then []
-              else
-                [
-                  measure cfg strategy entry.Catalog.spec ~util ~requests ~protected:true;
-                  measure cfg strategy entry.Catalog.spec ~util ~requests ~protected:false;
-                ])
-            strategies;
-      })
-    utils
-
-(* The CI gate: every way a run can violate the overload contract, summed.
+(* The gate: every way a run can violate the overload contract, summed.
    [unsafe_served]: a request dispatched into a non-clean process;
    [leaked_words]: cross-principal residue served by an isolating strategy;
    [shed_served]: a shed request that nevertheless consumed work;
    [late_uncounted]: a completion past its deadline the node missed. *)
-let violations points =
-  List.fold_left
-    (fun n p ->
-      List.fold_left
-        (fun n r -> n + r.unsafe_served + r.leaked_words + r.shed_served + r.late_uncounted)
-        n p.rows)
-    0 points
+let violations r = r.unsafe_served + r.leaked_words + r.shed_served + r.late_uncounted
 
-let print ppf (entry : Catalog.entry) points =
-  let header =
-    [
-      "util";
-      "strategy";
-      "prot";
-      "offered";
-      "done";
-      "goodput";
-      "gp r/s";
-      "shed";
-      "expired";
-      "fail";
-      "late";
-      "p50 ms";
-      "p99 ms";
-      "q hi";
-      "cold";
-      "brown";
-      "unsafe";
-    ]
-  in
-  let fmt_opt v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun (r : row) ->
-            [
-              Printf.sprintf "%.1fx" r.util;
-              String.uppercase_ascii (Registry.to_string r.strategy);
-              (if r.protected then "on" else "off");
-              string_of_int r.offered;
-              string_of_int r.completed;
-              string_of_int r.goodput;
-              Printf.sprintf "%.1f" r.goodput_rps;
-              string_of_int r.shed;
-              string_of_int r.expired;
-              string_of_int r.failed;
-              string_of_int r.deadline_misses;
-              fmt_opt r.p50_ms;
-              fmt_opt r.p99_ms;
-              string_of_int r.queue_high_water;
-              string_of_int r.cold_starts;
-              string_of_int r.brownout_escalations;
-              string_of_int (r.unsafe_served + r.leaked_words + r.shed_served);
-            ])
-          p.rows)
-      points
-  in
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "Overload sweep on %s: bursty open-loop arrivals at a multiple of measured \
-          capacity, protection (deadlines + bounded EDF admission + brownout) on vs off. \
-          Goodput = completions within deadline; with protection on it plateaus at \
-          capacity instead of collapsing. 'unsafe' must be 0: no request is ever served \
-          by a non-clean process, shed requests consume no work, late completions are \
-          always counted."
-         entry.Catalog.display)
-    ~header rows
+let grid utils =
+  Gated_sweep.(product (product utils [ Registry.Base; Registry.Gh ]) [ true; false ])
+
+let sweep =
+  {
+    Gated_sweep.name = "overload";
+    doc =
+      "Sweep offered load past capacity with overload protection (deadlines, bounded EDF \
+       admission, brownout) on and off; exits nonzero if any request was served by a \
+       non-clean process, a shed request consumed work, or a late completion went \
+       uncounted.";
+    benchmark = "deltablue (p)";
+    benchmark_doc = "Benchmark to overload.";
+    n = 240;
+    n_doc = "Arrivals per (strategy, protection, utilization) cell.";
+    grid = grid [ 0.5; 0.8; 1.1; 1.5; 2.0 ];
+    smoke = grid [ 0.8; 1.6 ];
+    smoke_n = 90;
+    smoke_doc = "Tiny CI run: two utilization points, few requests.";
+    cell =
+      (fun cfg entry ~requests ((util, strategy), protected) ->
+        let spec = entry.Catalog.spec in
+        if Registry.supports strategy spec then
+          Some (measure cfg strategy spec ~util ~requests ~protected)
+        else None);
+    title =
+      (fun entry ->
+        Printf.sprintf
+          "Overload sweep on %s: bursty open-loop arrivals at a multiple of measured \
+           capacity, protection (deadlines + bounded EDF admission + brownout) on vs off. \
+           Goodput = completions within deadline; with protection on it plateaus at \
+           capacity instead of collapsing. 'unsafe' must be 0: no request is ever served \
+           by a non-clean process, shed requests consume no work, late completions are \
+           always counted."
+          entry.Catalog.display);
+    columns =
+      [
+        ("util", fun r -> Printf.sprintf "%.1fx" r.util);
+        ("strategy", fun r -> String.uppercase_ascii (Registry.to_string r.strategy));
+        ("prot", fun r -> if r.protected then "on" else "off");
+        ("offered", fun r -> string_of_int r.offered);
+        ("done", fun r -> string_of_int r.completed);
+        ("goodput", fun r -> string_of_int r.goodput);
+        ("gp r/s", fun r -> Printf.sprintf "%.1f" r.goodput_rps);
+        ("shed", fun r -> string_of_int r.shed);
+        ("expired", fun r -> string_of_int r.expired);
+        ("fail", fun r -> string_of_int r.failed);
+        ("late", fun r -> string_of_int r.deadline_misses);
+        ("p50 ms", fun r -> Gated_sweep.fmt_opt 1 r.p50_ms);
+        ("p99 ms", fun r -> Gated_sweep.fmt_opt 1 r.p99_ms);
+        ("q hi", fun r -> string_of_int r.queue_high_water);
+        ("cold", fun r -> string_of_int r.cold_starts);
+        ("brown", fun r -> string_of_int r.brownout_escalations);
+        ("unsafe", fun r -> string_of_int (violations r));
+      ];
+    violations;
+    gate =
+      Printf.sprintf
+        "OVERLOAD CONTRACT VIOLATION: %d breach(es) — non-clean serve, leaked residue, \
+         shed request consuming work, or uncounted late completion";
+    checks = (fun _ -> []);
+  }

@@ -35,30 +35,14 @@ type row = {
   late_uncounted : int;  (** Late completions the node failed to count. Must be 0. *)
 }
 
-type point = { util : float; rows : row list }
+type cell
+(** A (utilization, strategy, protection) grid point. *)
 
-val default_strategies : Gh_isolation.Registry.id list
-(** [Base; Gh]. *)
-
-val default_utils : float list
-(** [0.5; 0.8; 1.1; 1.5; 2.0]. *)
-
-val run :
-  Config.t ->
-  ?strategies:Gh_isolation.Registry.id list ->
-  ?utils:float list ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-(** One protected + one unprotected measurement per (strategy, util), both
-    over the identical arrival stream (keyed by seed, strategy, util).
-    [requests] (default 240) arrivals per measurement. Strategies the spec
+val sweep : (cell, row) Gated_sweep.spec
+(** Utilizations 0.5x to 2.0x of measured capacity (smoke: 0.8x and 1.6x)
+    over BASE and GH, each protected and unprotected over the identical
+    arrival stream (keyed by seed, strategy, util). Strategies the spec
     does not support are skipped. Fully deterministic — including every
-    shed decision — per [cfg.seed]. *)
-
-val violations : point list -> int
-(** Sum of all invariant breaches ([unsafe_served] + [leaked_words] +
-    [shed_served] + [late_uncounted]) across the sweep; the CI gate
-    requires 0. *)
-
-val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+    shed decision — per [cfg.seed]. The gate sums [unsafe_served],
+    [leaked_words], [shed_served] and [late_uncounted]; the table's
+    'unsafe' column shows the same sum. *)

@@ -9,7 +9,6 @@ module Fm = Gh_faas.Function_model
 module Intf = Gh_faas.Strategy_intf
 module Invoker = Gh_faas.Invoker
 module Container = Gh_faas.Container
-module Backoff = Gh_faas.Backoff
 module Manager = Groundhog_core.Manager
 module Snapshot = Groundhog_core.Snapshot
 module Dedup = Groundhog_core.Dedup
@@ -22,10 +21,6 @@ let policy_name = function
   | Scrub_only -> "scrub"
   | Sampled k -> Printf.sprintf "sampled-%d" k
   | Full -> "full"
-
-let default_policies = [ Off; Scrub_only; Sampled 4; Full ]
-let default_rates = [ 0.0; 0.02; 0.1 ]
-let strategies = Registry.all
 
 type row = {
   strategy : Registry.id;
@@ -47,10 +42,7 @@ type row = {
   dedup_shared_blocks : int option;
 }
 
-type point = { rate : float; policy : policy; rows : row list }
-
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
+type cell = (float * policy) * Registry.id
 
 (* The ground-truth oracle, checked at every dispatch: a strategy that can
    prove what its process should contain (eager GH after a real restore,
@@ -94,20 +86,10 @@ let observe engine stats (s : Intf.t) =
         | r -> r);
   }
 
-let default_recovery =
-  {
-    Invoker.container =
-      {
-        Container.timeout_ns = Some (Time_ns.of_sec 1.0);
-        quarantine_after = 3;
-        rebuild_backoff = Backoff.recovery;
-        max_rebuild_attempts = 5;
-      };
-    max_attempts = 3;
-    retry_backoff = Backoff.default;
-  }
+let n_containers = 2
 
-let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
+let measure cfg (entry : Catalog.entry) ~requests:n_requests ((rate, policy), strategy) =
+  let spec = entry.Catalog.spec in
   if not (Registry.supports strategy spec) then None
   else begin
     let seed =
@@ -150,18 +132,10 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
       | Ok s -> observe engine stats s
       | Error msg -> failwith msg
     in
-    let recovery =
-      let timeout = Time_ns.of_sec 1.0 + (8 * spec.Fm.exec_ns) in
-      {
-        default_recovery with
-        Invoker.container =
-          { default_recovery.Invoker.container with Container.timeout_ns = Some timeout };
-      }
-    in
     let scrub = match policy with Off -> None | _ -> Some Container.default_scrub in
     let invoker =
-      Invoker.create ~recovery ~rng:(Rng.split root) ?scrub engine ~n_containers
-        ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
+      Invoker.create ~recovery:(Gated_sweep.recovery spec) ~rng:(Rng.split root) ?scrub engine
+        ~n_containers ~dispatch_ns:cfg.Config.dispatch_ns ~make_strategy
     in
     let delivered = ref 0 in
     let interval_ns = max (Time_ns.of_ms 1.0) (2 * spec.Fm.exec_ns / n_containers) in
@@ -172,7 +146,7 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
              fun () ->
                let req =
                  Gh_faas.Request.make ~id:i
-                   ~principal:principals.(i land 1)
+                   ~principal:Gated_sweep.principals.(i land 1)
                    ~input_kb:spec.Fm.input_kb ()
                in
                Invoker.submit invoker req ~on_response:(fun _ _ -> incr delivered) )));
@@ -223,93 +197,71 @@ let measure cfg strategy spec ~rate ~policy ~n_containers ~n_requests =
       }
   end
 
-let run cfg ?(rates = default_rates) ?(policies = default_policies) ?(n_containers = 2)
-    ?(requests = 60) (entry : Catalog.entry) =
-  List.concat_map
-    (fun rate ->
-      List.map
-        (fun policy ->
-          {
-            rate;
-            policy;
-            rows =
-              List.filter_map
-                (fun strategy ->
-                  measure cfg strategy entry.Catalog.spec ~rate ~policy ~n_containers
-                    ~n_requests:requests)
-                strategies;
-          })
-        policies)
-    rates
+let grid rates policies = Gated_sweep.(product (product rates policies) Registry.all)
 
-let protected_corrupted_serves points =
-  List.fold_left
-    (fun n p ->
-      if p.policy = Full then
-        List.fold_left (fun n (r : row) -> n + r.corrupted_served) n p.rows
-      else n)
-    0 points
-
-let unprotected_corrupted_serves points =
-  List.fold_left
-    (fun n p ->
-      if p.policy = Off then
-        List.fold_left (fun n (r : row) -> n + r.corrupted_served) n p.rows
-      else n)
-    0 points
-
-let print ppf (entry : Catalog.entry) points =
-  let header =
-    [
-      "rate";
-      "policy";
-      "strategy";
-      "served";
-      "CORRUPT";
-      "vdetect";
-      "sdetect";
-      "vblocks";
-      "sblocks";
-      "detect ms";
-      "MTTR ms";
-      "quar";
-      "rebuild";
-      "tax ms";
-      "dedup pg";
-    ]
-  in
-  let fmt_opt v = if Float.is_nan v then "-" else Printf.sprintf "%.1f" v in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun r ->
-            [
-              Printf.sprintf "%.0f%%" (100.0 *. p.rate);
-              policy_name p.policy;
-              String.uppercase_ascii (Registry.to_string r.strategy);
-              Printf.sprintf "%d/%d" r.delivered r.offered;
-              string_of_int r.corrupted_served;
-              string_of_int r.verify_detections;
-              string_of_int r.scrub_detections;
-              string_of_int r.verified_blocks;
-              string_of_int r.scrubbed_blocks;
-              fmt_opt r.detect_ms;
-              fmt_opt r.mttr_ms;
-              string_of_int r.quarantined;
-              string_of_int r.replacements;
-              Printf.sprintf "%.1f" r.overhead_ms;
-              (match r.dedup_saved_pages with Some n -> string_of_int n | None -> "-");
-            ])
-          p.rows)
-      points
-  in
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "Snapshot integrity on %s: corruption rate x verification policy. 'CORRUPT' counts \
-          requests dispatched to a process whose restored state no longer matches the \
-          snapshot hashes (the oracle; must be 0 under policy 'full'); 'tax ms' is the \
-          modelled hashing cost, tallied off the timeline."
-         entry.Catalog.display)
-    ~header rows
+let sweep =
+  {
+    Gated_sweep.name = "scrub";
+    doc =
+      "Sweep seeded snapshot-corruption rates against the verification policies (off, \
+       scrub-only, sampled, full); exits nonzero if any request is served from corrupted \
+       state under full verification, or if the unverified baseline fails to demonstrate \
+       the hazard.";
+    benchmark = "deltablue (p)";
+    benchmark_doc = "Benchmark to corrupt.";
+    n = 60;
+    n_doc = "Requests per (strategy, rate, policy) cell.";
+    grid = grid [ 0.0; 0.02; 0.1 ] [ Off; Scrub_only; Sampled 4; Full ];
+    smoke = grid [ 0.0; 0.05 ] [ Off; Full ];
+    smoke_n = 30;
+    smoke_doc = "Tiny CI run: policies off and full, rates 0 and 5%, few requests.";
+    cell = measure;
+    title =
+      (fun entry ->
+        Printf.sprintf
+          "Snapshot integrity on %s: corruption rate x verification policy. 'CORRUPT' \
+           counts requests dispatched to a process whose restored state no longer matches \
+           the snapshot hashes (the oracle; must be 0 under policy 'full'); 'tax ms' is \
+           the modelled hashing cost, tallied off the timeline."
+          entry.Catalog.display);
+    columns =
+      [
+        ("rate", fun r -> Printf.sprintf "%.0f%%" (100.0 *. r.rate));
+        ("policy", fun r -> policy_name r.policy);
+        ("strategy", fun r -> String.uppercase_ascii (Registry.to_string r.strategy));
+        ("served", fun r -> Printf.sprintf "%d/%d" r.delivered r.offered);
+        ("CORRUPT", fun r -> string_of_int r.corrupted_served);
+        ("vdetect", fun r -> string_of_int r.verify_detections);
+        ("sdetect", fun r -> string_of_int r.scrub_detections);
+        ("vblocks", fun r -> string_of_int r.verified_blocks);
+        ("sblocks", fun r -> string_of_int r.scrubbed_blocks);
+        ("detect ms", fun r -> Gated_sweep.fmt_opt 1 r.detect_ms);
+        ("MTTR ms", fun r -> Gated_sweep.fmt_opt 1 r.mttr_ms);
+        ("quar", fun r -> string_of_int r.quarantined);
+        ("rebuild", fun r -> string_of_int r.replacements);
+        ("tax ms", fun r -> Printf.sprintf "%.1f" r.overhead_ms);
+        ( "dedup pg",
+          fun r -> match r.dedup_saved_pages with Some n -> string_of_int n | None -> "-" );
+      ];
+    (* The fail-closed gate: a corrupted serve under full verification. *)
+    violations = (fun r -> if r.policy = Full then r.corrupted_served else 0);
+    gate =
+      Printf.sprintf
+        "INTEGRITY VIOLATION: %d request(s) served from corrupted state under full \
+         verification";
+    (* The sweep must also prove the hazard is real: with verification off
+       and corruption injected, the oracle has to catch at least one
+       corrupted serve, or the protected zero above means nothing. *)
+    checks =
+      (fun rows ->
+        let off = List.filter (fun r -> r.policy = Off) rows in
+        if
+          List.exists (fun r -> r.rate > 0.0) off
+          && List.for_all (fun (r : row) -> r.corrupted_served = 0) off
+        then
+          [
+            "VACUOUS SWEEP: corruption injected but the unverified baseline served \
+             nothing corrupt — the zero under full verification proves nothing";
+          ]
+        else []);
+  }

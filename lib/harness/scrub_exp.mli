@@ -18,7 +18,7 @@
     snapshot hashes; serving a request while that audit fails is a
     {e corrupted serve}. Under [Full] the count must be zero — every
     corrupt restore is caught and poisoned before the next dispatch —
-    and the harness exposes {!protected_corrupted_serves} as the CI gate.
+    and that count is the sweep's gate.
     Under [Off] a nonzero count demonstrates the window the machinery
     closes. [Sampled] bounds the window to k restores; [Scrub_only]
     catches stored-side damage but not skipped restore writes.
@@ -30,15 +30,6 @@
 type policy = Off | Scrub_only | Sampled of int | Full
 
 val policy_name : policy -> string
-
-val default_policies : policy list
-(** [Off; Scrub_only; Sampled 4; Full]. *)
-
-val default_rates : float list
-(** [0; 0.02; 0.1] per-site corruption probability. *)
-
-val strategies : Gh_isolation.Registry.id list
-(** All seven registry strategies (filtered per-spec by support). *)
 
 type row = {
   strategy : Gh_isolation.Registry.id;
@@ -64,35 +55,12 @@ type row = {
   dedup_shared_blocks : int option;
 }
 
-type point = { rate : float; policy : policy; rows : row list }
+type cell
+(** A ((rate, policy), strategy) grid point. *)
 
-val measure :
-  Config.t ->
-  Gh_isolation.Registry.id ->
-  Gh_faas.Function_model.spec ->
-  rate:float ->
-  policy:policy ->
-  n_containers:int ->
-  n_requests:int ->
-  row option
-(** One cell; [None] when the strategy doesn't support the spec.
-    Deterministic: the same seed, spec, rate and policy reproduce the
-    identical corruption schedule and output. *)
-
-val run :
-  Config.t ->
-  ?rates:float list ->
-  ?policies:policy list ->
-  ?n_containers:int ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-
-val protected_corrupted_serves : point list -> int
-(** Corrupted serves under [Full] — the CI gate checks this is 0. *)
-
-val unprotected_corrupted_serves : point list -> int
-(** Corrupted serves under [Off] — nonzero at nonzero rates shows the
-    window the integrity machinery closes. *)
-
-val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+val sweep : (cell, row) Gated_sweep.spec
+(** Rates 0, 0.02 and 0.1 per site x policies [Off; Scrub_only; Sampled 4;
+    Full] (smoke: rates 0 and 0.05 x [Off; Full]) over every registry
+    strategy the spec supports. The gate sums [corrupted_served] on
+    [Full] rows; its check fails a sweep whose [Off] rows saw corruption
+    injected but served nothing corrupt. *)

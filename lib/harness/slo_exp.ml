@@ -21,10 +21,8 @@
    timely alert is the expected catastrophe, not a regression. *)
 
 module Engine = Gh_sim.Engine
-module Rng = Gh_sim.Rng
 module Time_ns = Gh_sim.Time_ns
 module Stats = Gh_sim.Stats
-module Fault = Gh_sim.Fault
 module Trace = Gh_sim.Trace
 module Span = Gh_sim.Span
 module Metrics = Gh_sim.Metrics
@@ -33,12 +31,8 @@ module Slo = Gh_sim.Slo
 module Flight_recorder = Gh_sim.Flight_recorder
 module Registry = Gh_isolation.Registry
 module Catalog = Gh_workloads.Catalog
-module Synthetic = Gh_workloads.Synthetic
 module Fm = Gh_faas.Function_model
-module Intf = Gh_faas.Strategy_intf
 module Request = Gh_faas.Request
-module Admission = Gh_faas.Admission
-module Node = Gh_faas.Node
 module Cluster = Gh_faas.Cluster
 module Controller = Gh_faas.Controller
 
@@ -63,34 +57,10 @@ type row = {
   series_windows : int;  (** Rolled time-series windows. *)
 }
 
-type point = { fault_per_min : float; rows : row list }
+type cell = (float * float) * bool
 
-let default_fault_rates = [ 0.0; 0.2 ]
-let default_load_factors = [ 0.45; 1.25 ]
-let n_nodes = 3
-let cores_per_node = 2
 let slo_base_ns = Time_ns.of_ms 200.0
 let recorder_window_ns = Time_ns.of_ms 500.0
-
-let principals =
-  [| Gh_faas.Principal.make ~id:1 ~name:"alice"; Gh_faas.Principal.make ~id:2 ~name:"bob" |]
-
-let service_ns cfg spec ~seed =
-  match Registry.make Registry.Gh ~rng:(Rng.create (seed lxor 0x510)) spec with
-  | Error msg -> failwith ("Slo_exp: cannot build probe strategy: " ^ msg)
-  | Ok s ->
-      let n = 8 in
-      let total = ref 0 in
-      for i = 1 to n do
-        let req =
-          Request.make ~id:(1_000_000 + i)
-            ~principal:principals.(i land 1)
-            ~input_kb:spec.Fm.input_kb ()
-        in
-        let inv = s.Intf.invoke req in
-        total := !total + inv.Intf.on_path_ns + inv.Intf.post_ns
-      done;
-      (!total / n) + cfg.Config.dispatch_ns
 
 (* One classified request event, replayed after the run to find the
    exact moment users left an objective (the SLO's sketchless ground
@@ -155,57 +125,15 @@ let first_fire slo =
 let count_fires slo =
   List.length (List.filter (fun (a : Slo.alert) -> a.Slo.a_kind = `Fire) (Slo.alerts slo))
 
-let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
+let measure cfg (entry : Catalog.entry) ~requests ((fault_per_min, load_factor), failover) =
+  let spec = entry.Catalog.spec in
   (* Both failover arms share the seed: identical arrivals and fault
      schedule, so the comparison isolates the management plane. *)
   let seed =
     cfg.Config.seed lxor Hashtbl.hash ("slo", spec.Fm.name, fault_per_min, load_factor)
   in
-  let root = Rng.create seed in
-  let service = service_ns cfg spec ~seed in
-  let fleet_cores = n_nodes * cores_per_node in
-  let capacity_rps = float_of_int fleet_cores *. 1.0e9 /. float_of_int service in
-  let rate_rps =
-    Float.min (load_factor *. capacity_rps) (float_of_int requests /. 2.0)
-  in
-  let hb = Time_ns.of_ms 100.0 in
-  let response_timeout = max (Time_ns.of_ms 250.0) (6 * service) in
-  let ttl = max (Time_ns.of_sec 2.0) (8 * response_timeout) in
-  let latency_limit_ms = Time_ns.to_ms response_timeout in
-  let warmup = Time_ns.of_sec 2.0 in
-  let arrivals =
-    let arng = Rng.create (seed lxor Hashtbl.hash "slo-arrivals") in
-    List.map
-      (fun t -> t + warmup)
-      (Synthetic.burst ~duty:0.5 ~cycle_s:1.0 arng ~rate_rps ~n:requests)
-  in
-  let last_arrival = List.fold_left max warmup arrivals in
-  let horizon = last_arrival + ttl + Time_ns.of_sec 2.0 in
-  let fault =
-    if fault_per_min <= 0.0 then Fault.none
-    else begin
-      let plan = Fault.create ~seed:(Hashtbl.hash (seed, "slo-plan")) in
-      let ticks_per_min = 60.0 *. 1.0e9 /. float_of_int hb in
-      let per_tick = fault_per_min /. ticks_per_min in
-      (* Two scheduled crashes across the arrival span (see Cluster_exp
-         for the occurrence arithmetic) on top of the background rate:
-         every faulty cell contains real episodes at any seed. *)
-      let crash_nths =
-        List.map
-          (fun (node, f) ->
-            let tick =
-              max 1 ((warmup + int_of_float (f *. float_of_int (last_arrival - warmup))) / hb)
-            in
-            ((tick - 1) * n_nodes) + node + 1)
-          [ (0, 0.15); (1, 0.55) ]
-      in
-      Fault.set plan Fault.Node_crash ~prob:per_tick ~nth:crash_nths ();
-      Fault.set plan Fault.Node_hang ~prob:(2.0 *. per_tick) ();
-      Fault.set plan Fault.Cluster_msg_loss ~prob:0.002 ();
-      Fault.set plan Fault.Heartbeat_drop ~prob:0.01 ();
-      plan
-    end
-  in
+  let service = Gated_sweep.service_ns cfg Registry.Gh spec ~seed:(seed lxor 0x510) in
+  let latency_limit_ms = Time_ns.to_ms (Cluster_exp.response_timeout service) in
   let engine = Engine.create () in
   let registry = Metrics.create () in
   let trace = Trace.create ~capacity:50_000 () in
@@ -222,100 +150,36 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
            (if failover then "on" else "off"))
       ()
   in
-  let builds = ref 0 in
-  let make_strategy _name sp =
-    incr builds;
-    match
-      Registry.make Registry.Gh ~rng:(Rng.named_split root (Printf.sprintf "c%d" !builds)) sp
-    with
-    | Ok s -> s
-    | Error msg -> failwith ("Slo_exp: " ^ msg)
-  in
-  let cluster_config =
-    {
-      Cluster.n_nodes;
-      node =
-        {
-          Node.total_cores = cores_per_node;
-          memory_mb = 65_536;
-          idle_timeout = Time_ns.of_sec 600.0;
-          dispatch_ns = cfg.Config.dispatch_ns;
-          recovery = None;
-          admission = Admission.bounded ~policy:Admission.Edf_drop (10 * cores_per_node);
-          brownout = None;
-          scrub = None;
-        };
-      placement = Cluster.Least_loaded;
-      failover;
-      hb_interval = hb;
-      hang_ns = 4 * hb;
-      response_timeout;
-      max_attempts = 4;
-      hedge_after = (if failover then Some (3 * response_timeout / 4) else None);
-      restart_ns = Time_ns.of_ms 500.0;
-      health = Gh_faas.Health.default_config;
-      breaker = Gh_faas.Breaker.default_config;
-    }
-  in
-  let cluster =
-    Cluster.create ~trace ~spans ~series ~slos ~recorder ~metrics:registry
-      ~rng:(Rng.named_split root "cluster") ~fault engine cluster_config ~make_strategy
-  in
-  let fn = spec.Fm.name in
-  Cluster.register cluster ~name:fn spec;
-  let controller =
-    Controller.create_sink ~ttl_ns:ttl engine
-      ~rng:(Rng.named_split root "controller")
-      (fun req ~on_response -> Cluster.submit cluster ~name:fn req ~on_response)
-  in
   (* The exact per-request log, measured requests only (warm-ups are
      invisible to the breach replay, like any pre-launch traffic). *)
   let events = ref [] in
   let served = ref 0 in
   let e2e_samples = ref [] in
-  Cluster.set_on_failed cluster (fun req ->
-      if req.Request.id < 1_000_000 then
-        events :=
-          { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity }
-          :: !events);
-  Controller.set_on_shed controller (fun req ->
-      if req.Request.id < 1_000_000 then
-        events :=
-          { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity }
-          :: !events);
-  for i = 1 to fleet_cores do
-    Engine.at engine ~time:0 (fun () ->
-        Cluster.submit cluster ~name:fn
-          (Request.make ~id:(2_000_000 + i)
-             ~principal:principals.(i land 1)
-             ~input_kb:spec.Fm.input_kb ())
-          ~on_response:(fun _ _ -> ()))
-  done;
-  Cluster.start cluster ~until:horizon;
-  Engine.at_batch engine
-    (List.mapi
-       (fun i at ->
-         let id = i + 1 in
-         ( at,
-           fun () ->
-             let req =
-               Request.make ~id
-                 ~principal:principals.(i land 1)
-                 ~input_kb:spec.Fm.input_kb ()
-             in
-             Controller.submit controller req
-               ~on_complete:(fun (c : Controller.completion) ->
-                 incr served;
-                 let ms = Time_ns.to_ms c.Controller.e2e_ns in
-                 e2e_samples := ms :: !e2e_samples;
-                 events :=
-                   { ev_at = Engine.now engine; ev_ok = true; ev_e2e_ms = ms }
-                   :: !events) ))
-       arrivals);
-  Engine.run_all engine;
+  let fail (req : Request.t) =
+    if req.Request.id < 1_000_000 then
+      events :=
+        { ev_at = Engine.now engine; ev_ok = false; ev_e2e_ms = Float.infinity } :: !events
+  in
+  let f =
+    Cluster_exp.fleet cfg spec engine ~seed ~salt:"slo" ~service ~load:load_factor
+      ~cap_rps:(float_of_int requests /. 2.0)
+      (* Two scheduled crashes across the arrival span on top of the
+         background rate: every faulty cell contains real episodes at any
+         seed. *)
+      ~crashes:[ (0, 0.15); (1, 0.55) ]
+      ~fault_per_min ~placement:Cluster.Least_loaded ~failover ~requests ~trace ~spans
+      ~series ~slos ~recorder ~metrics:registry ~on_failed:fail ~on_shed:fail
+      ~on_complete:(fun (c : Controller.completion) ->
+        incr served;
+        let ms = Time_ns.to_ms c.Controller.e2e_ns in
+        e2e_samples := ms :: !e2e_samples;
+        events := { ev_at = Engine.now engine; ev_ok = true; ev_e2e_ms = ms } :: !events)
+      ()
+  in
+  let warmup = f.Cluster_exp.warmup in
   Timeseries.flush series ~now:(Engine.now engine);
   let events = List.rev !events in
-  let offered = List.length arrivals in
+  let offered = List.length f.Cluster_exp.arrivals in
   (* Lead times: replayed breach instant minus the objective's first
      fired alert. Negative lead (alert after the breach) is exactly what
      the violation count below catches. *)
@@ -409,95 +273,65 @@ let measure cfg spec ~fault_per_min ~load_factor ~failover ~requests =
     series_windows = Timeseries.rolled_windows series;
   }
 
-let run cfg ?(fault_rates = default_fault_rates) ?(load_factors = default_load_factors)
-    ?(requests = 160) (entry : Catalog.entry) =
-  List.map
-    (fun fault_per_min ->
-      {
-        fault_per_min;
-        rows =
-          List.concat_map
-            (fun load_factor ->
-              [
-                measure cfg entry.Catalog.spec ~fault_per_min ~load_factor ~failover:true
-                  ~requests;
-                measure cfg entry.Catalog.spec ~fault_per_min ~load_factor ~failover:false
-                  ~requests;
-              ])
-            load_factors;
-      })
-    fault_rates
+(* The gate: a gated objective breached with no prior alert on the
+   failover-on arm, a flight-recorder dump that fails validation or window
+   coverage, or a span-closure failure. *)
+let violations r = r.unalerted_breaches + r.dump_errors + r.span_errors
 
-(* The CI gate: a gated objective breached with no prior alert on the
-   failover-on arm, a flight-recorder dump that fails validation or
-   window coverage, or a span-closure failure. *)
-let violations points =
-  List.fold_left
-    (fun n p ->
-      List.fold_left
-        (fun n r -> n + r.unalerted_breaches + r.dump_errors + r.span_errors)
-        n p.rows)
-    0 points
+let grid fault_rates =
+  Gated_sweep.(product (product fault_rates [ 0.45; 1.25 ]) [ true; false ])
 
-let print ppf (entry : Catalog.entry) points =
-  let header =
-    [
-      "fault/min";
-      "load";
-      "fo";
-      "offered";
-      "served";
-      "avail";
-      "p99 ms";
-      "alerts";
-      "alert@ms";
-      "av-breach";
-      "av-lead";
-      "lat-breach";
-      "lat-lead";
-      "unalerted";
-      "dumps";
-      "dump-err";
-      "span-err";
-      "windows";
-    ]
-  in
-  let fmt_opt v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v in
-  let rows =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun (r : row) ->
-            [
-              Printf.sprintf "%.2f" r.fault_per_min;
-              Printf.sprintf "%.0f%%" (100.0 *. r.load_factor);
-              (if r.failover then "on" else "off");
-              string_of_int r.offered;
-              string_of_int r.served;
-              Printf.sprintf "%.1f%%" (100.0 *. r.availability);
-              (if Float.is_nan r.p99_ms then "-" else Printf.sprintf "%.1f" r.p99_ms);
-              string_of_int r.alerts_fired;
-              fmt_opt r.first_alert_ms;
-              fmt_opt r.avail_breach_ms;
-              fmt_opt r.avail_lead_ms;
-              fmt_opt r.latency_breach_ms;
-              fmt_opt r.latency_lead_ms;
-              string_of_int r.unalerted_breaches;
-              string_of_int r.dumps;
-              string_of_int r.dump_errors;
-              string_of_int r.span_errors;
-              string_of_int r.series_windows;
-            ])
-          p.rows)
-      points
-  in
-  Report.table ppf
-    ~title:
-      (Printf.sprintf
-         "SLO burn-rate alerting on %s: %d-node fleet under injected faults and offered \
-          load, burn-rate alerts (availability 99.9%%, p99 latency, cold-start) vs the \
-          replayed breach instant. 'unalerted'/'dump-err'/'span-err' must be 0 on \
-          failover-on rows: every breach pre-announced, every flight-recorder dump \
-          schema-valid and window-covering, every span tree closed."
-         entry.Catalog.display n_nodes)
-    ~header rows
+let sweep =
+  {
+    Gated_sweep.name = "slo";
+    doc =
+      "Sweep injected fault and offered-load rates through the fleet with the full \
+       observability stack (windowed series, burn-rate SLO alerts, failure flight \
+       recorder); exits nonzero if any availability/latency breach arrives without a \
+       prior alert on the failover arm, or any flight-recorder dump fails validation.";
+    benchmark = "deltablue (p)";
+    benchmark_doc = "Benchmark the fleet serves.";
+    n = 160;
+    n_doc = "Arrivals per (fault rate, load, failover) cell.";
+    grid = grid [ 0.0; 0.2 ];
+    smoke = grid [ 0.2 ];
+    smoke_n = 120;
+    smoke_doc = "Tiny CI run: one nonzero fault rate, both load points, few requests.";
+    cell = (fun cfg entry ~requests cell -> Some (measure cfg entry ~requests cell));
+    title =
+      (fun entry ->
+        Printf.sprintf
+          "SLO burn-rate alerting on %s: %d-node fleet under injected faults and offered \
+           load, burn-rate alerts (availability 99.9%%, p99 latency, cold-start) vs the \
+           replayed breach instant. 'unalerted'/'dump-err'/'span-err' must be 0 on \
+           failover-on rows: every breach pre-announced, every flight-recorder dump \
+           schema-valid and window-covering, every span tree closed."
+          entry.Catalog.display Cluster_exp.n_nodes);
+    columns =
+      [
+        ("fault/min", fun r -> Printf.sprintf "%.2f" r.fault_per_min);
+        ("load", fun r -> Printf.sprintf "%.0f%%" (100.0 *. r.load_factor));
+        ("fo", fun r -> if r.failover then "on" else "off");
+        ("offered", fun r -> string_of_int r.offered);
+        ("served", fun r -> string_of_int r.served);
+        ("avail", fun r -> Printf.sprintf "%.1f%%" (100.0 *. r.availability));
+        ("p99 ms", fun r -> Gated_sweep.fmt_opt 1 r.p99_ms);
+        ("alerts", fun r -> string_of_int r.alerts_fired);
+        ("alert@ms", fun r -> Gated_sweep.fmt_opt 0 r.first_alert_ms);
+        ("av-breach", fun r -> Gated_sweep.fmt_opt 0 r.avail_breach_ms);
+        ("av-lead", fun r -> Gated_sweep.fmt_opt 0 r.avail_lead_ms);
+        ("lat-breach", fun r -> Gated_sweep.fmt_opt 0 r.latency_breach_ms);
+        ("lat-lead", fun r -> Gated_sweep.fmt_opt 0 r.latency_lead_ms);
+        ("unalerted", fun r -> string_of_int r.unalerted_breaches);
+        ("dumps", fun r -> string_of_int r.dumps);
+        ("dump-err", fun r -> string_of_int r.dump_errors);
+        ("span-err", fun r -> string_of_int r.span_errors);
+        ("windows", fun r -> string_of_int r.series_windows);
+      ];
+    violations;
+    gate =
+      Printf.sprintf
+        "OBSERVABILITY CONTRACT VIOLATION: %d breach(es) — objective left without a prior \
+         alert, invalid or window-short flight-recorder dump, or unclosed span tree";
+    checks = (fun _ -> []);
+  }

@@ -4,7 +4,7 @@
     the {!Gh_sim.Flight_recorder} — measuring alert lead time against
     the replayed instant users visibly left each objective.
 
-    Fail-closed contract (CI-gated via {!violations}, failover-on arm
+    Fail-closed contract (the sweep's gate, failover-on arm
     only): every breach of a gated objective (availability, latency)
     must be preceded by a fired alert, every flight-recorder dump must
     validate and cover the configured pre-failure window, and every
@@ -35,23 +35,11 @@ type row = {
   series_windows : int;  (** Rolled time-series windows. *)
 }
 
-type point = { fault_per_min : float; rows : row list }
+type cell
+(** A ((fault rate, load factor), failover) grid point. *)
 
-val default_fault_rates : float list
-val default_load_factors : float list
-
-val run :
-  Config.t ->
-  ?fault_rates:float list ->
-  ?load_factors:float list ->
-  ?requests:int ->
-  Gh_workloads.Catalog.entry ->
-  point list
-(** Each (fault rate, load factor) cell runs both failover arms over the
-    same seeded arrivals and fault schedule. *)
-
-val violations : point list -> int
-(** Unalerted gated breaches + invalid or window-short dumps + span
-    failures, failover-on rows only. 0 is the CI gate. *)
-
-val print : Format.formatter -> Gh_workloads.Catalog.entry -> point list -> unit
+val sweep : (cell, row) Gated_sweep.spec
+(** Fault rates 0 and 0.2 per minute (smoke: 0.2) x load factors 0.45
+    and 1.25, each cell running both failover arms over the same seeded
+    arrivals and fault schedule. The gate sums [unalerted_breaches],
+    [dump_errors] and [span_errors], which bind failover-on rows only. *)

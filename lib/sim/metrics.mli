@@ -51,7 +51,6 @@ val observed : histogram -> int
 
 val hist_count : histogram -> int
 val hist_mean : histogram -> float
-val hist_std : histogram -> float
 
 val counter_name : counter -> string
 val gauge_name : gauge -> string

@@ -237,6 +237,160 @@ let test_seed_changes_results () =
   in
   check_bool "different seeds perturb the noise" true (with_seed 1 <> with_seed 2)
 
+(* -- Gated sweeps: every gate term fires -- *)
+
+(* The smoke grid of each sweep at the CI seed, run once: the rows are the
+   clean baseline every perturbation below starts from. *)
+let smoke s =
+  Gated_sweep.run s { Config.default with Config.seed = 42 } ~smoke:true
+    (entry s.Gated_sweep.benchmark)
+
+let fault_rows = lazy (smoke Fault_exp.sweep)
+let overload_rows = lazy (smoke Overload_exp.sweep)
+let cluster_rows = lazy (smoke Cluster_exp.sweep)
+let slo_rows = lazy (smoke Slo_exp.sweep)
+let scrub_rows = lazy (smoke Scrub_exp.sweep)
+let check_gate s msg expected rows =
+  Alcotest.(check (result unit string)) msg expected (Gated_sweep.gate s rows)
+
+(* Apply [f] to the first row satisfying [pick]. *)
+let perturb ?(pick = fun _ -> true) f rows =
+  let hit = ref false in
+  let rows =
+    List.map
+      (fun r ->
+        if (not !hit) && pick r then begin
+          hit := true;
+          f r
+        end
+        else r)
+      rows
+  in
+  if not !hit then Alcotest.fail "no row to perturb";
+  rows
+
+(* Each term gets its own perturbation: dropping any one term from a gate
+   leaves its case returning [Ok]. *)
+let check_terms s rows ~message terms =
+  check_gate s "clean smoke grid passes" (Ok ()) rows;
+  List.iter
+    (fun (term, f) -> check_gate s term (Error (message 1)) (perturb f rows))
+    terms
+
+let test_fault_gate () =
+  let open Fault_exp in
+  check_terms sweep (Lazy.force fault_rows)
+    ~message:
+      (Printf.sprintf "FAIL-CLOSED VIOLATION: %d request(s) served by a non-clean process")
+    [ ("unsafe_served", fun r -> { r with unsafe_served = r.unsafe_served + 1 }) ]
+
+let overload_message =
+  Printf.sprintf
+    "OVERLOAD CONTRACT VIOLATION: %d breach(es) — non-clean serve, leaked residue, shed \
+     request consuming work, or uncounted late completion"
+
+let test_overload_gate () =
+  let open Overload_exp in
+  let rows = Lazy.force overload_rows in
+  check_terms sweep rows ~message:overload_message
+    [
+      ("unsafe_served", fun r -> { r with unsafe_served = r.unsafe_served + 1 });
+      ("leaked_words", fun r -> { r with leaked_words = r.leaked_words + 1 });
+      ("shed_served", fun r -> { r with shed_served = r.shed_served + 1 });
+      ("late_uncounted", fun r -> { r with late_uncounted = r.late_uncounted + 1 });
+    ];
+  (match rows with
+  | a :: b :: rest ->
+      check_gate sweep "breaches sum across rows" (Error (overload_message 2))
+        ({ a with late_uncounted = 1 } :: { b with shed_served = 1 } :: rest)
+  | _ -> Alcotest.fail "smoke grid has fewer than two rows");
+  (* The table's 'unsafe' column renders the gate's own sum, so a late
+     completion the node failed to count shows in the table too. *)
+  let unsafe = List.assoc "unsafe" sweep.Gated_sweep.columns in
+  Alcotest.(check string) "late_uncounted shows in 'unsafe'" "1"
+    (unsafe { (List.hd rows) with late_uncounted = 1 })
+
+let cluster_message =
+  Printf.sprintf
+    "DELIVERY CONTRACT VIOLATION: %d breach(es) — double-serve, shed-and-served, \
+     unaccounted completion, or dangling attempt"
+
+let test_cluster_gate () =
+  let open Cluster_exp in
+  check_terms sweep (Lazy.force cluster_rows) ~message:cluster_message
+    [
+      ("double_served", fun r -> { r with double_served = r.double_served + 1 });
+      ("shed_and_served", fun r -> { r with shed_and_served = r.shed_and_served + 1 });
+      ( "conservation_residue +1",
+        fun r -> { r with conservation_residue = r.conservation_residue + 1 } );
+      ( "conservation_residue -1",
+        fun r -> { r with conservation_residue = r.conservation_residue - 1 } );
+      ("inflight_residue", fun r -> { r with inflight_residue = r.inflight_residue + 1 });
+    ]
+
+let test_cluster_acceptance () =
+  let open Cluster_exp in
+  let rows = Lazy.force cluster_rows in
+  let cell ~rate ~failover r = r.rate_per_min = rate && r.failover = failover in
+  let faulty_on = perturb ~pick:(cell ~rate:0.01 ~failover:true) in
+  let unavailable = faulty_on (fun r -> { r with availability = 0.5 }) in
+  let slow rows =
+    perturb ~pick:(cell ~rate:0.0 ~failover:true)
+      (fun r -> { r with p99_ms = 10.0 })
+      (faulty_on (fun r -> { r with p99_ms = 100.0 }) rows)
+  in
+  let no_collapse =
+    perturb ~pick:(cell ~rate:0.01 ~failover:false) (fun r -> { r with availability = 1.0 })
+  in
+  let fail msgs = Error ("ACCEPTANCE FAILED: " ^ String.concat "; " msgs) in
+  let low = "failover-on availability 50.00% < 99%" in
+  let p99 = "failover-on p99 100.0 ms > 8x fault-free 10.0 ms" in
+  let flat = "failover-off availability 100.00% did not collapse (> 90%)" in
+  check_gate sweep "availability below 99%" (fail [ low ]) (unavailable rows);
+  check_gate sweep "p99 above 8x fault-free" (fail [ p99 ]) (slow rows);
+  check_gate sweep "failover off does not collapse" (fail [ flat ]) (no_collapse rows);
+  check_gate sweep "all three, last-checked first" (fail [ flat; p99; low ])
+    (no_collapse (slow (unavailable rows)));
+  check_gate sweep "violations take precedence" (Error (cluster_message 1))
+    (perturb (fun r -> { r with double_served = 1 }) (unavailable rows))
+
+let test_slo_gate () =
+  let open Slo_exp in
+  check_terms sweep (Lazy.force slo_rows)
+    ~message:
+      (Printf.sprintf
+         "OBSERVABILITY CONTRACT VIOLATION: %d breach(es) — objective left without a prior \
+          alert, invalid or window-short flight-recorder dump, or unclosed span tree")
+    [
+      ( "unalerted_breaches",
+        fun r -> { r with unalerted_breaches = r.unalerted_breaches + 1 } );
+      ("dump_errors", fun r -> { r with dump_errors = r.dump_errors + 1 });
+      ("span_errors", fun r -> { r with span_errors = r.span_errors + 1 });
+    ]
+
+let test_scrub_gate () =
+  let open Scrub_exp in
+  let rows = Lazy.force scrub_rows in
+  let corrupt r = { r with corrupted_served = r.corrupted_served + 1 } in
+  check_gate sweep "clean smoke grid passes" (Ok ()) rows;
+  check_gate sweep "corrupted_served under Full"
+    (Error
+       "INTEGRITY VIOLATION: 1 request(s) served from corrupted state under full \
+        verification")
+    (perturb ~pick:(fun r -> r.policy = Full) corrupt rows);
+  check_gate sweep "corrupted_served under Off does not fire" (Ok ())
+    (perturb ~pick:(fun r -> r.policy = Off) corrupt rows);
+  let clean_off =
+    List.map (fun r -> if r.policy = Off then { r with corrupted_served = 0 } else r)
+  in
+  check_gate sweep "a baseline that never served corruption is vacuous"
+    (Error
+       "VACUOUS SWEEP: corruption injected but the unverified baseline served nothing \
+        corrupt — the zero under full verification proves nothing")
+    (clean_off rows);
+  check_gate sweep "no corruption injected, nothing to prove" (Ok ())
+    (clean_off (List.filter (fun r -> r.rate = 0.0) rows))
+
 (* -- Experiments registry -- *)
 
 let test_experiments_registry () =
@@ -279,4 +433,13 @@ let () =
           Alcotest.test_case "seed matters" `Quick test_seed_changes_results;
         ] );
       ("experiments", [ Alcotest.test_case "registry" `Quick test_experiments_registry ]);
+      ( "gated sweeps",
+        [
+          Alcotest.test_case "fault gate" `Quick test_fault_gate;
+          Alcotest.test_case "overload gate" `Quick test_overload_gate;
+          Alcotest.test_case "cluster gate" `Quick test_cluster_gate;
+          Alcotest.test_case "cluster acceptance" `Quick test_cluster_acceptance;
+          Alcotest.test_case "slo gate" `Quick test_slo_gate;
+          Alcotest.test_case "scrub gate" `Quick test_scrub_gate;
+        ] );
     ]
